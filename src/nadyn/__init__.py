@@ -69,6 +69,7 @@ from .plmaps import (
     make_plmap,
     prefix_image,
     prefix_preimage,
+    propagate,
 )
 from .sysio import (
     parse_set_argument,

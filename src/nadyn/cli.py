@@ -119,9 +119,17 @@ def _load_schedule(source: str) -> tuple[Schedule, dict]:
     )
 
 
+def _open(path: str, mode: str, **kwargs):
+    """open() whose failure is a malformed-input diagnostic, not a traceback."""
+    try:
+        return open(path, mode, encoding="utf-8", **kwargs)
+    except OSError as e:
+        raise MalformedInput(f"cannot open {path!r}: {e.strerror}") from None
+
+
 def _maybe_at_file(text: str) -> str:
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
+        with _open(text[1:], "r") as fh:
             return fh.read()
     return text
 
@@ -153,10 +161,6 @@ def _int_list(text: str) -> list[int]:
     ):
         raise MalformedInput("expected a JSON list of integers")
     return loaded
-
-
-def _set_json(s: IntervalSet) -> list[str]:
-    return s.to_json()
 
 
 def _fr(q: Fraction) -> str:
@@ -196,9 +200,9 @@ def _verdict_json(v: Verdict, sch: Schedule) -> dict:
     if v.certificate is not None:
         c = v.certificate
         doc["certificate"] = {
-            "W": _set_json(c.w),
-            "U": _set_json(c.u),
-            "V": _set_json(c.v),
+            "W": c.w.to_json(),
+            "U": c.u.to_json(),
+            "V": c.v.to_json(),
             "checked_maps": c.checked_maps,
         }
     return doc
@@ -269,8 +273,8 @@ def _cmd_image(args, budget: PropagationBudget) -> dict:
     out = prefix_image(sch, s, args.n, budget)
     return {
         "system": sysdoc,
-        "parameters": {"set": _set_json(s), "n": args.n},
-        "result": {"image": _set_json(out), "measure": _fr(out.measure())},
+        "parameters": {"set": s.to_json(), "n": args.n},
+        "result": {"image": out.to_json(), "measure": _fr(out.measure())},
     }
 
 
@@ -280,8 +284,8 @@ def _cmd_preimage(args, budget: PropagationBudget) -> dict:
     out = prefix_preimage(sch, s, args.n, budget)
     return {
         "system": sysdoc,
-        "parameters": {"set": _set_json(s), "n": args.n},
-        "result": {"preimage": _set_json(out), "measure": _fr(out.measure())},
+        "parameters": {"set": s.to_json(), "n": args.n},
+        "result": {"preimage": out.to_json(), "measure": _fr(out.measure())},
     }
 
 
@@ -290,7 +294,7 @@ def _series_from_args(args, budget: PropagationBudget):
     a = parse_set_argument(args.A)
     b = parse_set_argument(args.B)
     series = correlation_series(sch, a, b, args.N, budget)
-    params = {"A": _set_json(a), "B": _set_json(b), "N": args.N}
+    params = {"A": a.to_json(), "B": b.to_json(), "N": args.N}
     return sch, sysdoc, series, params
 
 
@@ -309,7 +313,7 @@ def _series_json(series) -> dict:
 def _cmd_correlate(args, budget: PropagationBudget) -> dict:
     _, sysdoc, series, params = _series_from_args(args, budget)
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+        with _open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["i", "c_i", "deviation_i"])
             for i, (v, d) in enumerate(zip(series.values, series.deviations)):
@@ -394,7 +398,7 @@ def _cmd_hitting(args, budget: PropagationBudget) -> dict:
     hs = hitting_set(sch, u, v, args.H, budget)
     return {
         "system": sysdoc,
-        "parameters": {"U": _set_json(u), "V": _set_json(v), "H": args.H},
+        "parameters": {"U": u.to_json(), "V": v.to_json(), "H": args.H},
         "result": {"hitting_times": list(hs.members), "empty": hs.is_empty},
     }
 
@@ -453,7 +457,7 @@ def _cmd_mc(args) -> dict:
         a = parse_set_argument(args.A)
         b = parse_set_argument(args.B)
         estimate, stderr = mc_correlation(fs, a, b, args.n, cfg)
-        params.update({"mode": "correlation", "A": _set_json(a), "B": _set_json(b)})
+        params.update({"mode": "correlation", "A": a.to_json(), "B": b.to_json()})
         result = {"estimate": estimate, "stderr": stderr}
     result["estimate_only"] = sysdoc.get("estimate_only", False)
     return {"system": sysdoc, "parameters": params, "result": result}
@@ -497,7 +501,7 @@ def _cmd_verify(args, budget: PropagationBudget) -> tuple[dict, int]:
         doc = {
             "system": {"source": "example31", "definition": schedule_to_dict(sch)},
             "parameters": {
-                "U": _set_json(u), "V": _set_json(v), "W": _set_json(w),
+                "U": u.to_json(), "V": v.to_json(), "W": w.to_json(),
                 "delta": "1/4", "scale": "1/64", "H": horizon,
             },
             "result": {"passed": ok, "checks": checks},
@@ -592,7 +596,7 @@ def _build_parser(command: str) -> argparse.ArgumentParser:
 def _emit(doc: dict, out: str | None) -> None:
     text = json.dumps(doc, indent=2)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with _open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -638,6 +642,14 @@ def main(argv: list[str] | None = None) -> int:
             doc = _cmd_mc(args)
         else:
             doc, exit_code = _cmd_verify(args, budget)
+        doc = {
+            "command": command,
+            "tool_version": __version__,
+            "index_base": INDEX_BASE,
+            "budget": {"max_parts": budget.max_parts, "source": budget_source},
+            **doc,
+        }
+        _emit(doc, args.out)
     except (MalformedInput, OutOfDomain, GridMismatch, ScaleMismatch,
             HorizonExceeded, NotInvariant, ValueError) as e:
         _diagnostic(command, "malformed_input", e)
@@ -649,14 +661,6 @@ def main(argv: list[str] | None = None) -> int:
     except UnknownExample as e:
         _diagnostic(command, "unknown_example", e)
         return 4
-    doc = {
-        "command": command,
-        "tool_version": __version__,
-        "index_base": INDEX_BASE,
-        "budget": {"max_parts": budget.max_parts, "source": budget_source},
-        **doc,
-    }
-    _emit(doc, args.out)
     return exit_code
 
 

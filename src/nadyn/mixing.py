@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .errors import HorizonExceeded, NotExtractable, OutOfDomain
 from .intervals import IntervalSet
-from .plmaps import DEFAULT_BUDGET, PropagationBudget, Schedule
+from .plmaps import DEFAULT_BUDGET, PropagationBudget, Schedule, propagate
 
 #: Default threshold ladder for exceptional-set extraction: 1/2 .. 1/256.
 DEFAULT_THRESHOLDS = tuple(Fraction(1, 2**k) for k in range(1, 9))
@@ -41,12 +41,6 @@ class IndexSet:
     def count_below(self, n: int) -> int:
         """|members ∩ {0..n-1}|."""
         return bisect_right(self.members, n - 1)
-
-    def intersect(self, other: "IndexSet") -> "IndexSet":
-        if self.horizon != other.horizon:
-            raise ValueError("index sets must share a horizon")
-        common = set(self.members) & set(other.members)
-        return IndexSet(self.horizon, tuple(common))
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,37 +144,27 @@ def correlation_series(
     cyc = len(sch.cycle)
     raw: list[Fraction] = []
 
-    def record(full_preimage: IntervalSet) -> None:
-        raw.append(a.intersect(full_preimage).measure())
+    def pull(s: IntervalSet, lo: int, hi: int) -> IntervalSet:
+        """Preimage of s under the composition of maps lo .. hi-1."""
+        for s in propagate(sch, s, reversed(range(lo, hi)), budget, inverse=True):
+            pass
+        return s
 
-    # u[j] holds the preimage of b under maps pre .. i-1 for the oldest
+    # window[j] holds the preimage of b under maps pre .. i-1 for the oldest
     # pending lag; rolling it by one cycle multiplies the chain in front.
     window: list[IntervalSet] = []
     for i in range(n):
         if i < pre:
-            cur = b
-            for step, j in enumerate(reversed(range(i)), start=1):
-                cur = sch.map_at(j).preimage_set(cur)
-                budget.check(step, cur)
-            record(cur)
-            continue
-        k = i - pre
-        if k < cyc:
-            cur = b
-            for step, j in enumerate(reversed(range(pre, i)), start=1):
-                cur = sch.map_at(j).preimage_set(cur)
-                budget.check(step, cur)
-            window.append(cur)
+            cur = pull(b, 0, i)
         else:
-            cur = window[k % cyc]
-            for step, j in enumerate(reversed(range(pre, pre + cyc)), start=1):
-                cur = sch.map_at(j).preimage_set(cur)
-                budget.check(step, cur)
-            window[k % cyc] = cur
-        for step, j in enumerate(reversed(range(pre)), start=1):
-            cur = sch.map_at(j).preimage_set(cur)
-            budget.check(step, cur)
-        record(cur)
+            k = i - pre
+            if k < cyc:
+                cur = pull(b, pre, i)
+                window.append(cur)
+            else:
+                cur = window[k % cyc] = pull(window[k % cyc], pre, pre + cyc)
+            cur = pull(cur, 0, pre)
+        raw.append(a.intersect(cur).measure())
 
     values = tuple(v / length for v in raw)
     deviations = tuple(abs(c - product) for c in values)

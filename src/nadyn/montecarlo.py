@@ -86,10 +86,7 @@ class FloatSchedule:
             estimate_only=True,
         )
 
-    def map_at(self, n: int) -> Callable[[np.ndarray], np.ndarray]:
-        if n < len(self.preamble):
-            return self.preamble[n]
-        return self.cycle[(n - len(self.preamble)) % len(self.cycle)]
+    map_at = Schedule.map_at  # the same eventually-periodic indexing rule
 
     def orbit(self, xs: np.ndarray, n: int) -> np.ndarray:
         for i in range(n):

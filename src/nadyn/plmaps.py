@@ -8,15 +8,16 @@ as an eventually-periodic sequence of maps; the orbit map for the first
 n steps is the composition of f_0 .. f_{n-1}.
 
 Forward images and preimages of interval sets are exact.  Iterated
-preimages can grow their part count exponentially, so every iteration is
-guarded by a :class:`PropagationBudget`: exceeding it raises hard, never
-truncates.
+preimages can grow their part count exponentially, so every iteration goes
+through :func:`propagate`, which guards each step with a
+:class:`PropagationBudget`: exceeding it raises hard, never truncates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from .errors import (
     BudgetExceeded,
@@ -225,17 +226,32 @@ class PropagationBudget:
 DEFAULT_BUDGET = PropagationBudget()
 
 
+def propagate(
+    sch: Schedule, s: IntervalSet, steps: Iterable[int], budget: PropagationBudget,
+    *, inverse: bool = False,
+) -> Iterator[IntervalSet]:
+    """Yield s pushed through ``sch.map_at(i)`` for each i in steps, in turn.
+
+    With ``inverse`` each step takes the preimage, so a preimage chain lists
+    its map indices last to first.  Each yielded set has passed
+    ``budget.check``, with steps numbered from 1 along this chain.
+    """
+    for step, i in enumerate(steps, start=1):
+        m = sch.map_at(i)
+        s = m.preimage_set(s) if inverse else m.image_set(s)
+        budget.check(step, s)
+        yield s
+
+
 def prefix_image(
     sch: Schedule, s: IntervalSet, n: int, budget: PropagationBudget = DEFAULT_BUDGET
 ) -> IntervalSet:
     """Image of s under the first n maps; n = 0 returns s unchanged."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    cur = s
-    for i in range(n):
-        cur = sch.map_at(i).image_set(cur)
-        budget.check(i + 1, cur)
-    return cur
+    for s in propagate(sch, s, range(n), budget):
+        pass
+    return s
 
 
 def prefix_preimage(
@@ -244,11 +260,9 @@ def prefix_preimage(
     """Preimage of s under the composition of the first n maps."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    cur = s
-    for step, i in enumerate(reversed(range(n)), start=1):
-        cur = sch.map_at(i).preimage_set(cur)
-        budget.check(step, cur)
-    return cur
+    for s in propagate(sch, s, reversed(range(n)), budget, inverse=True):
+        pass
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -36,18 +36,20 @@ from .plmaps import PLMap, Piece, Schedule
 
 
 def parse_set_argument(text: str) -> IntervalSet:
-    """Parse a CLI set argument: one interval literal or a JSON array."""
-    s = text.strip()
-    if s in ("", "[]", "∅", "empty"):
-        return IntervalSet.empty()
-    if s.startswith("["):
+    """Parse a CLI set argument: one interval literal or a JSON array.
+
+    The literal goes first: "[0,1]" is also a JSON list of two numbers.
+    """
+    try:
+        return IntervalSet.parse(text)
+    except MalformedInput:
         try:
-            loaded = json.loads(s)
+            loaded = json.loads(text)
         except json.JSONDecodeError:
             loaded = None
-        if isinstance(loaded, list):
-            return IntervalSet.parse([str(t) for t in loaded])
-    return IntervalSet.parse(s)
+        if not isinstance(loaded, list):
+            raise
+    return IntervalSet.parse([str(t) for t in loaded])
 
 
 # -- schedule <-> JSON ------------------------------------------------------

@@ -27,8 +27,7 @@ from .errors import (
     ScaleMismatch,
 )
 from .intervals import Interval, IntervalSet, as_rational
-from .mixing import IndexSet
-from .plmaps import DEFAULT_BUDGET, PropagationBudget, Schedule
+from .plmaps import DEFAULT_BUDGET, PropagationBudget, Schedule, propagate
 
 CERTIFIED_FAIL = "CERTIFIED_FAIL"
 WITNESSED_UP_TO = "WITNESSED_UP_TO"
@@ -55,9 +54,28 @@ class HittingSet:
     def least(self) -> int | None:
         return self.members[0] if self.members else None
 
-    def as_index_set(self) -> IndexSet:
-        """View over {0..horizon} for density machinery (0 never present)."""
-        return IndexSet(self.horizon + 1, self.members)
+
+def _hitting_row(
+    sch: Schedule,
+    u: IntervalSet,
+    targets: tuple[IntervalSet, ...],
+    horizon: int,
+    budget: PropagationBudget,
+) -> list[int]:
+    """row[j]: bit n-1 set iff the n-step image of u meets targets[j].
+
+    One row per grid cell u, with the cells as targets, is the hitting-mask
+    matrix the grid verdicts reduce.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    row = [0] * len(targets)
+    for n, cur in enumerate(propagate(sch, u, range(horizon), budget), start=1):
+        bit = 1 << (n - 1)
+        for j, target in enumerate(targets):
+            if cur.meets(target):
+                row[j] |= bit
+    return row
 
 
 def hitting_set(
@@ -70,16 +88,9 @@ def hitting_set(
     """Exact membership for every n in {1..horizon} via forward images."""
     if u.is_empty or v.is_empty:
         raise ValueError("U and V must be nonempty")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    members = []
-    cur = u
-    for n in range(1, horizon + 1):
-        cur = sch.map_at(n - 1).image_set(cur)
-        budget.check(n, cur)
-        if cur.meets(v):
-            members.append(n)
-    return HittingSet(u=u, v=v, horizon=horizon, members=tuple(members))
+    (mask,) = _hitting_row(sch, u, (v,), horizon, budget)
+    members = tuple(n for n in range(1, horizon + 1) if mask >> (n - 1) & 1)
+    return HittingSet(u=u, v=v, horizon=horizon, members=members)
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,28 +209,6 @@ def closed_grid(domain: Interval, g: Fraction) -> tuple[Interval, ...]:
     )
 
 
-def _hitting_masks(
-    sch: Schedule,
-    cells: tuple[IntervalSet, ...],
-    horizon: int,
-    budget: PropagationBudget,
-) -> list[list[int]]:
-    """masks[u][v]: bit n-1 set iff the n-step image of cell u meets cell v."""
-    k = len(cells)
-    masks = [[0] * k for _ in range(k)]
-    for ui, cell in enumerate(cells):
-        cur = cell
-        for n in range(1, horizon + 1):
-            cur = sch.map_at(n - 1).image_set(cur)
-            budget.check(n, cur)
-            bit = 1 << (n - 1)
-            row = masks[ui]
-            for vi, target in enumerate(cells):
-                if cur.meets(target):
-                    row[vi] |= bit
-    return masks
-
-
 def _least_bit(mask: int) -> int:
     return (mask & -mask).bit_length()  # 1-based hitting index
 
@@ -236,7 +225,7 @@ def transitivity_verdict(
     invariant-set certificate.
     """
     cells = open_grid(sch.domain, g)
-    masks = _hitting_masks(sch, cells, horizon, budget)
+    masks = [_hitting_row(sch, c, cells, horizon, budget) for c in cells]
     k = len(cells)
     witnesses = []
     unhit = []
@@ -266,7 +255,7 @@ def weakmix_verdict(
 ) -> Verdict:
     """Witness a shared hitting time for every two ordered cell pairs."""
     cells = open_grid(sch.domain, g)
-    masks = _hitting_masks(sch, cells, horizon, budget)
+    masks = [_hitting_row(sch, c, cells, horizon, budget) for c in cells]
     k = len(cells)
     pairs = [(ui, vi) for ui in range(k) for vi in range(k)]
     witnesses = []
@@ -298,7 +287,7 @@ def mixing_verdict(
 ) -> Verdict:
     """Find the least tail start N with every pair hit at all n in {N..horizon}."""
     cells = open_grid(sch.domain, g)
-    masks = _hitting_masks(sch, cells, horizon, budget)
+    masks = [_hitting_row(sch, c, cells, horizon, budget) for c in cells]
     k = len(cells)
     full = (1 << horizon) - 1
     witnesses = []
@@ -434,12 +423,10 @@ def sensitivity_certificate(
     found: list[CellWitness] = []
     failed: list[CellFailure] = []
     for cell in cells:
-        cur = IntervalSet((cell,))
-        best = cur.diameter()
+        whole = IntervalSet((cell,))
+        best = whole.diameter()
         hit = None
-        for n in range(1, horizon + 1):
-            cur = sch.map_at(n - 1).image_set(cur)
-            budget.check(n, cur)
+        for n, cur in enumerate(propagate(sch, whole, range(horizon), budget), start=1):
             d = cur.diameter()
             if d > best:
                 best = d

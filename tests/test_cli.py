@@ -103,6 +103,26 @@ class TestCommands:
         assert code == 0
         assert doc["result"]["preimage"] == ["[0,1/8]", "[3/8,5/8]", "[7/8,1]"]
 
+    def test_integer_endpoint_interval_is_a_set_not_a_list(self, capsys):
+        # "[0,1]" also parses as a JSON list of two numbers
+        code, doc, _ = run_cli(
+            capsys, "image", "--system", "tent", "--set", "[0,1]", "--n", "1"
+        )
+        assert code == 0 and doc["parameters"]["set"] == ["[0,1]"]
+        assert doc["result"]["image"] == ["[0,1]"]
+        code, doc, _ = run_cli(
+            capsys, "correlate", "--system", "example31", "--A", "[0,1]",
+            "--B", "[0,3/2]", "--N", "2",
+        )
+        assert code == 0 and doc["result"]["mu_A"] == "2/3"
+
+    def test_json_list_set_argument(self, capsys):
+        code, doc, _ = run_cli(
+            capsys, "image", "--system", "tent", "--set", '["[0,1/8]","(3/4,1]"]',
+            "--n", "1",
+        )
+        assert code == 0 and doc["parameters"]["set"] == ["[0,1/8]", "(3/4,1]"]
+
     def test_correlate_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "series.csv"
         code, doc, _ = run_cli(
@@ -256,6 +276,37 @@ class TestExitCodes:
             capsys, "image", "--system", "tent", "--set", "[0,0.5]", "--n", "1"
         )
         assert code == 2 and err["error"] == "malformed_input"
+
+    @pytest.mark.parametrize("command", ["transitivity", "weakmix", "mixing"])
+    def test_verdicts_reject_zero_horizon(self, capsys, command):
+        code, doc, err = run_cli(
+            capsys, command, "--system", "tent", "--grid", "1/4", "--H", "0"
+        )
+        assert code == 2 and doc is None
+        assert err["error"] == "malformed_input" and "horizon" in err["detail"]
+
+    def test_missing_values_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        code, doc, err = run_cli(capsys, "kvn", "--values", f"@{missing}")
+        assert code == 2 and doc is None
+        assert err["error"] == "malformed_input" and str(missing) in err["detail"]
+
+    def test_unwritable_out_path(self, tmp_path, capsys):
+        out = tmp_path / "no_such_dir" / "report.json"
+        code, doc, err = run_cli(
+            capsys, "eval", "--system", "tent", "--x", "1/3", "--out", str(out)
+        )
+        assert code == 2 and doc is None and not out.exists()
+        assert err["error"] == "malformed_input" and str(out) in err["detail"]
+
+    def test_unwritable_csv_path(self, tmp_path, capsys):
+        csv_path = tmp_path / "no_such_dir" / "series.csv"
+        code, doc, err = run_cli(
+            capsys, "correlate", "--system", "tent", "--A", "[0,1/2]",
+            "--B", "[0,1/2]", "--N", "3", "--csv", str(csv_path),
+        )
+        assert code == 2 and doc is None
+        assert err["error"] == "malformed_input" and str(csv_path) in err["detail"]
 
 
 class TestVerify:

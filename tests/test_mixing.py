@@ -56,15 +56,22 @@ class TestCorrelationSeries:
         # rolling reuse across the cycle must agree with the naive chain
         from nadyn import prefix_preimage
 
-        doubling = bundled_example("doubling")
+        doubling = bundled_example("doubling").cycle[0]
+        tent = TENT.cycle[0]
         sch_alt = bundled_example("tent_doubling_alternating")
-        sch = type(sch_alt)((doubling.cycle[0],), sch_alt.cycle, sch_alt.domain)
+        schedule = type(sch_alt)
         a = IntervalSet.parse("[1/8,5/8]")
         b = IntervalSet.parse("(1/4,7/8]")
-        series = correlation_series(sch, a, b, 9)
-        for i in range(9):
-            expected = a.intersect(prefix_preimage(sch, b, i)).measure()
-            assert series.raw_values[i] == expected
+        # 1-map preamble, 2-map cycle; then 2-map preamble, 3-map cycle with
+        # N >= 2 * (pre + cyc), so every window slot rolls more than once
+        for sch, n in (
+            (schedule((doubling,), sch_alt.cycle, sch_alt.domain), 9),
+            (schedule((doubling, tent), (tent, doubling, tent), sch_alt.domain), 12),
+        ):
+            series = correlation_series(sch, a, b, n)
+            for i in range(n):
+                expected = a.intersect(prefix_preimage(sch, b, i)).measure()
+                assert series.raw_values[i] == expected
 
     def test_one_map_cycle_matches_direct_chain(self):
         from nadyn import prefix_preimage

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +17,16 @@ from nadyn import (
     Schedule,
     UnknownExample,
     bundled_example,
+    correlation_series,
+    hitting_set,
     make_plmap,
+    mixing_verdict,
     prefix_image,
     prefix_preimage,
+    propagate,
+    sensitivity_certificate,
+    transitivity_verdict,
+    weakmix_verdict,
 )
 from randgen import UNIT, interval_sets_in, plmaps, schedules
 
@@ -159,6 +167,31 @@ class TestPrefixOps:
         assert a == iset("[3/4,1]") and b == iset("[0,1/4]")  # tent, then doubling
 
 
+class TestPropagate:
+    def test_yields_every_forward_step(self):
+        s = iset("[1/2,5/8]")
+        got = list(propagate(ALT, s, range(4), PropagationBudget()))
+        assert got == [prefix_image(ALT, s, n) for n in range(1, 5)]
+
+    def test_inverse_walks_indices_as_given(self):
+        s = iset("(1/4,7/8]")
+        chain = propagate(ALT, s, reversed(range(3)), PropagationBudget(), inverse=True)
+        assert list(chain)[-1] == prefix_preimage(ALT, s, 3)
+
+    def test_steps_numbered_from_one_along_the_chain(self):
+        # map indices 5.. are deep in the schedule; the step count is not
+        with pytest.raises(BudgetExceeded) as exc:
+            list(propagate(TENT, iset("[0,1/2]"), range(5, 9), PropagationBudget(2),
+                           inverse=True))
+        assert (exc.value.step, exc.value.parts) == (2, 3)
+
+    def test_computes_only_the_steps_taken(self):
+        # a third preimage would hold 5 parts; stopping after two never makes it
+        chain = propagate(TENT, iset("[0,1/2]"), range(10), PropagationBudget(3),
+                          inverse=True)
+        assert [len(s.parts) for s in islice(chain, 2)] == [2, 3]
+
+
 class TestSchedule:
     def test_map_at_preamble_then_cycle(self):
         sch = Schedule((TENT.cycle[0],), (DOUBLING.cycle[0],), UNIT)
@@ -233,3 +266,39 @@ def test_composition_coherence(sch, s, m, n):
     whole = prefix_image(sch, s, m + n)
     staged = prefix_image(sch.shift(m), prefix_image(sch, s, m), n)
     assert whole == staged
+
+
+# A schedule whose second map splits intervals at 1/3, so images gain parts.
+_SPLIT = make_plmap(UNIT, [(Interval(0, F(1, 3)), F(1, 2), 0),
+                           (Interval(F(1, 3), 1, lo_open=True), 1, 0)])
+_PRE1 = Schedule((TENT.cycle[0],), (_SPLIT, TENT.cycle[0]), UNIT)
+_PRE2 = Schedule((DOUBLING.cycle[0], TENT.cycle[0]),
+                 (TENT.cycle[0], DOUBLING.cycle[0], TENT.cycle[0]), UNIT)
+_THREE = IntervalSet.parse(["[0,1/16]", "[1/8,3/16]", "(1/4,5/16)"])
+
+
+@pytest.mark.parametrize(
+    "walk, max_parts, step, parts",
+    [
+        (lambda b: prefix_image(_PRE1, _THREE, 8, b), 3, 2, 4),
+        (lambda b: prefix_preimage(ALT, iset("[0,1/2]"), 16, b), 8, 4, 13),
+        # each sub-chain of a lag restarts the count: the 1-map preamble's
+        # chain overflows at its step 1, the 2-map preamble's at its step 2
+        (lambda b: correlation_series(_PRE1, iset("[0,1/2]"), iset("(1/4,7/8]"), 12, b),
+         14, 1, 22),
+        (lambda b: correlation_series(_PRE2, iset("[0,1/2]"), iset("(1/4,7/8]"), 12, b),
+         16, 2, 32),
+        (lambda b: hitting_set(_PRE1, _THREE, iset("(3/4,1)"), 8, b), 3, 2, 4),
+        (lambda b: transitivity_verdict(_PRE1, F(1, 8), 8, b), 1, 2, 2),
+        (lambda b: weakmix_verdict(_PRE1, F(1, 8), 8, b), 1, 2, 2),
+        (lambda b: mixing_verdict(_PRE1, F(1, 8), 8, b), 1, 2, 2),
+        (lambda b: sensitivity_certificate(_PRE1, F(1, 2), F(1, 8), 8, b), 1, 2, 2),
+    ],
+    ids=["prefix_image", "prefix_preimage", "correlation_preamble1",
+         "correlation_preamble2", "hitting_set", "transitivity", "weakmix", "mixing",
+         "sensitivity"],
+)
+def test_every_walker_raises_at_the_recorded_step(walk, max_parts, step, parts):
+    with pytest.raises(BudgetExceeded) as exc:
+        walk(PropagationBudget(max_parts))
+    assert (exc.value.step, exc.value.parts, exc.value.max_parts) == (step, parts, max_parts)

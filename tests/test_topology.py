@@ -116,6 +116,20 @@ class TestMixing:
         assert v.kind == WITNESSED_UP_TO and v.tail == 1
 
 
+class TestHorizonValidation:
+    @pytest.mark.parametrize(
+        "verdict", [transitivity_verdict, weakmix_verdict, mixing_verdict]
+    )
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_verdicts_reject_horizon_below_one(self, verdict, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            verdict(TENT, F(1, 4), horizon)
+
+    def test_hitting_set_rejects_horizon_below_one(self):
+        with pytest.raises(ValueError, match="horizon"):
+            hitting_set(TENT, iset("(0,1/4)"), iset("(3/4,1)"), 0)
+
+
 class TestInvariantSetCertificate:
     def test_three_branch_certificate(self):
         cert = invariant_set_certificate(E31, iset("(0,1)"), iset("(1,3/2)"), iset("[0,1]"))

@@ -91,6 +91,7 @@ from .topology import (
     Verdict,
     certified_fail_verdict,
     closed_grid,
+    hitting_matrix,
     hitting_set,
     invariant_set_certificate,
     mixing_verdict,

@@ -594,7 +594,7 @@ def _build_parser(command: str) -> argparse.ArgumentParser:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(doc, indent=2, allow_nan=False)  # NaN is not JSON
     if out:
         with _open(out, "w") as fh:
             fh.write(text + "\n")
@@ -668,7 +668,7 @@ def _diagnostic(command: str, kind: str, err: Exception, extra: dict | None = No
     doc = {"command": command, "error": kind, "detail": str(err)}
     if extra:
         doc.update(extra)
-    print(json.dumps(doc, indent=2), file=sys.stderr)
+    print(json.dumps(doc, indent=2, allow_nan=False), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ not; parsing such a file yields a float schedule flagged estimate-only.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Any
 
@@ -174,15 +175,22 @@ def schedule_from_dict(doc: Any, *, path: str = "") -> Schedule:
     return Schedule(preamble, cycle, domain)
 
 
-def parse_system_file(path: str) -> Schedule:
-    """Load and validate an exact system file; diagnostics carry field paths."""
+def _load_json(path: str) -> Any:
+    """The parsed JSON document of a system file; any failure is malformed input."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
         raise MalformedSystemFile("file not found", path=path) from None
+    except OSError as e:  # a directory, no permission, ...
+        raise MalformedSystemFile(f"cannot read the file: {e.strerror}", path=path) from None
     except json.JSONDecodeError as e:
         raise MalformedSystemFile(f"invalid JSON: {e}", path=path) from None
+
+
+def parse_system_file(path: str) -> Schedule:
+    """Load and validate an exact system file; diagnostics carry field paths."""
+    doc = _load_json(path)
     try:
         return schedule_from_dict(doc)
     except MalformedSystemFile as e:
@@ -198,6 +206,9 @@ def write_system_file(path: str, sch: Schedule) -> None:
 # -- float-map system files (mc only) ---------------------------------------
 
 
+_NOT_FINITE = '"quadratic" coefficients must be finite doubles'
+
+
 def _float_step_from_node(node: Any, domain: Interval, path: str):
     """Returns (callable, is_estimate_only)."""
     if isinstance(node, dict) and "quadratic" in node:
@@ -211,19 +222,41 @@ def _float_step_from_node(node: Any, domain: Interval, path: str):
                 '"quadratic" must be a list of three numbers [c0, c1, c2]',
                 field=path,
             )
-        return QuadraticMap(float(coeffs[0]), float(coeffs[1]), float(coeffs[2])), True
+        try:
+            q = QuadraticMap(float(coeffs[0]), float(coeffs[1]), float(coeffs[2]))
+        except OverflowError:  # an integer beyond the range of a double
+            raise MalformedSystemFile(_NOT_FINITE, field=path) from None
+        _check_quadratic_self_map(q, domain, path)
+        return q, True
     return _compile_plmap(_plmap_from_dict(node, domain, path)), False
+
+
+def _check_quadratic_self_map(q: QuadraticMap, domain: Interval, path: str) -> None:
+    """Reject a quadratic map that sends some domain point outside the domain.
+
+    Checked exactly on the doubles the estimator evaluates: the extremes of
+    the map over the domain lie at the endpoints and at the vertex.
+    """
+    if not all(math.isfinite(c) for c in (q.c0, q.c1, q.c2)):
+        raise MalformedSystemFile(_NOT_FINITE, field=path)
+    c0, c1, c2 = Fraction(q.c0), Fraction(q.c1), Fraction(q.c2)
+    xs = [domain.lo, domain.hi]
+    if c2:
+        vertex = -c1 / (2 * c2)
+        if domain.lo < vertex < domain.hi:
+            xs.append(vertex)
+    values = [c0 + x * (c1 + x * c2) for x in xs]
+    if min(values) < domain.lo or max(values) > domain.hi:
+        raise MalformedSystemFile(
+            f"quadratic map sends the domain {domain} onto "
+            f"[{float(min(values))!r}, {float(max(values))!r}], outside it",
+            field=path,
+        )
 
 
 def parse_mc_system_file(path: str) -> FloatSchedule:
     """Load a system file for the estimator; PL and quadratic maps both work."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise MalformedSystemFile("file not found", path=path) from None
-    except json.JSONDecodeError as e:
-        raise MalformedSystemFile(f"invalid JSON: {e}", path=path) from None
+    doc = _load_json(path)
     if not isinstance(doc, dict) or "domain" not in doc:
         raise MalformedSystemFile("missing domain", path=path)
     try:

@@ -19,6 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat
+from typing import Iterator
 
 from .errors import (
     DegeneratePair,
@@ -55,27 +58,9 @@ class HittingSet:
         return self.members[0] if self.members else None
 
 
-def _hitting_row(
-    sch: Schedule,
-    u: IntervalSet,
-    targets: tuple[IntervalSet, ...],
-    horizon: int,
-    budget: PropagationBudget,
-) -> list[int]:
-    """row[j]: bit n-1 set iff the n-step image of u meets targets[j].
-
-    One row per grid cell u, with the cells as targets, is the hitting-mask
-    matrix the grid verdicts reduce.
-    """
+def _check_horizon(horizon: int) -> None:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    row = [0] * len(targets)
-    for n, cur in enumerate(propagate(sch, u, range(horizon), budget), start=1):
-        bit = 1 << (n - 1)
-        for j, target in enumerate(targets):
-            if cur.meets(target):
-                row[j] |= bit
-    return row
 
 
 def hitting_set(
@@ -88,8 +73,12 @@ def hitting_set(
     """Exact membership for every n in {1..horizon} via forward images."""
     if u.is_empty or v.is_empty:
         raise ValueError("U and V must be nonempty")
-    (mask,) = _hitting_row(sch, u, (v,), horizon, budget)
-    members = tuple(n for n in range(1, horizon + 1) if mask >> (n - 1) & 1)
+    _check_horizon(horizon)
+    members = tuple(
+        n
+        for n, cur in enumerate(propagate(sch, u, range(horizon), budget), start=1)
+        if cur.meets(v)
+    )
     return HittingSet(u=u, v=v, horizon=horizon, members=members)
 
 
@@ -209,8 +198,61 @@ def closed_grid(domain: Interval, g: Fraction) -> tuple[Interval, ...]:
     )
 
 
+# matrices kept by hitting_matrix: the three verdicts of one (g, H) share one
+_MATRIX_MEMO_SIZE = 4
+
+
+def _cells_met(s: IntervalSet, start: Fraction, g: Fraction, k: int) -> Iterator[int]:
+    """Indices i < k of the open cells (start + i*g, start + (i+1)*g) that s meets.
+
+    A part with interior meets exactly the cells its span overlaps, whatever
+    its flags; a point meets a cell only strictly inside it.
+    """
+    for p in s.parts:
+        if p.lo == p.hi:
+            t = (p.lo - start) / g
+            if t.denominator != 1:
+                yield t.numerator // t.denominator
+        else:
+            yield from range(max(0, (p.lo - start) // g), min(k, -((start - p.hi) // g)))
+
+
+@lru_cache(maxsize=_MATRIX_MEMO_SIZE)
+def _hitting_matrix(
+    sch: Schedule, g: Fraction, horizon: int, budget: PropagationBudget
+) -> tuple[tuple[IntervalSet, ...], tuple[tuple[int, ...], ...]]:
+    cells = open_grid(sch.domain, g)
+    _check_horizon(horizon)
+    start, k = sch.domain.lo, len(cells)
+    masks = []
+    for cell in cells:
+        row = [0] * k
+        for n, cur in enumerate(propagate(sch, cell, range(horizon), budget), start=1):
+            bit = 1 << (n - 1)
+            for j in _cells_met(cur, start, g, k):
+                row[j] |= bit
+        masks.append(tuple(row))
+    return cells, tuple(masks)
+
+
+def hitting_matrix(
+    sch: Schedule,
+    g: Fraction,
+    horizon: int,
+    budget: PropagationBudget = DEFAULT_BUDGET,
+) -> tuple[tuple[IntervalSet, ...], tuple[tuple[int, ...], ...]]:
+    """The open g-grid cells and masks[u][v], the object all grid verdicts reduce.
+
+    Bit n-1 of masks[u][v] is set iff the n-step image of cell u meets cell
+    v, for n in {1..horizon}.  The last few matrices are memoized by
+    (schedule, g, horizon, budget), so the three verdicts of one (g, H)
+    propagate the cells once; errors are raised afresh, never cached.
+    """
+    return _hitting_matrix(sch, as_rational(g), horizon, budget)
+
+
 def _least_bit(mask: int) -> int:
-    return (mask & -mask).bit_length()  # 1-based hitting index
+    return (mask & -mask).bit_length()  # 1-based hitting index; 0 for no bit
 
 
 def transitivity_verdict(
@@ -224,14 +266,11 @@ def transitivity_verdict(
     Never claims CERTIFIED_FAIL on its own; a negative claim needs an
     invariant-set certificate.
     """
-    cells = open_grid(sch.domain, g)
-    masks = [_hitting_row(sch, c, cells, horizon, budget) for c in cells]
-    k = len(cells)
+    _, masks = hitting_matrix(sch, g, horizon, budget)
     witnesses = []
     unhit = []
-    for ui in range(k):
-        for vi in range(k):
-            mask = masks[ui][vi]
+    for ui, row in enumerate(masks):
+        for vi, mask in enumerate(row):
             if mask:
                 witnesses.append(((ui, vi), _least_bit(mask)))
             else:
@@ -253,21 +292,34 @@ def weakmix_verdict(
     horizon: int,
     budget: PropagationBudget = DEFAULT_BUDGET,
 ) -> Verdict:
-    """Witness a shared hitting time for every two ordered cell pairs."""
-    cells = open_grid(sch.domain, g)
-    masks = [_hitting_row(sch, c, cells, horizon, budget) for c in cells]
-    k = len(cells)
+    """Witness a shared hitting time for every two ordered cell pairs.
+
+    Pairs with equal masks have equal rows in the pair-of-pairs listing, so
+    the least common hit is computed once per two mask classes, and each
+    pair's row is emitted from its class's template.
+    """
+    _, masks = hitting_matrix(sch, g, horizon, budget)
+    k = len(masks)
     pairs = [(ui, vi) for ui in range(k) for vi in range(k)]
+    flat = [mask for row in masks for mask in row]
+    distinct = list(dict.fromkeys(flat))
+    class_of = {mask: c for c, mask in enumerate(distinct)}
+    classes = [class_of[mask] for mask in flat]
+    templates = []
+    for m1 in distinct:
+        least = [_least_bit(m1 & m2) for m2 in distinct]
+        hit = [least[c2] for c2 in classes]
+        templates.append((
+            [p2 for p2, n in zip(pairs, hit) if n],
+            [n for n in hit if n],
+            [p2 for p2, n in zip(pairs, hit) if not n],
+        ))
     witnesses = []
     unhit = []
-    for p1 in pairs:
-        m1 = masks[p1[0]][p1[1]]
-        for p2 in pairs:
-            common = m1 & masks[p2[0]][p2[1]]
-            if common:
-                witnesses.append(((p1, p2), _least_bit(common)))
-            else:
-                unhit.append((p1, p2))
+    for p1, c1 in zip(pairs, classes):
+        hit_pairs, hit_times, miss_pairs = templates[c1]
+        witnesses.extend(zip(zip(repeat(p1), hit_pairs), hit_times))
+        unhit.extend(zip(repeat(p1), miss_pairs))
     kind = WITNESSED_UP_TO if not unhit else INCONCLUSIVE
     return Verdict(
         property_name="weak_mixing",
@@ -286,16 +338,13 @@ def mixing_verdict(
     budget: PropagationBudget = DEFAULT_BUDGET,
 ) -> Verdict:
     """Find the least tail start N with every pair hit at all n in {N..horizon}."""
-    cells = open_grid(sch.domain, g)
-    masks = [_hitting_row(sch, c, cells, horizon, budget) for c in cells]
-    k = len(cells)
+    _, masks = hitting_matrix(sch, g, horizon, budget)
     full = (1 << horizon) - 1
     witnesses = []
     unhit = []
     tail = 1
-    for ui in range(k):
-        for vi in range(k):
-            mask = masks[ui][vi]
+    for ui, row in enumerate(masks):
+        for vi, mask in enumerate(row):
             missing = full & ~mask
             start = missing.bit_length() + 1  # first index past the last miss
             if start > horizon:

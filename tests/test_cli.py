@@ -3,6 +3,7 @@ import json
 import pytest
 
 from nadyn import bundled_example, parse_system_file, write_system_file
+from nadyn import cli
 from nadyn.cli import main
 
 
@@ -307,6 +308,76 @@ class TestExitCodes:
         )
         assert code == 2 and doc is None
         assert err["error"] == "malformed_input" and str(csv_path) in err["detail"]
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, as a strict JSON reader does."""
+
+    def bad(token):
+        raise ValueError(f"non-finite number {token}")
+
+    return json.loads(text, parse_constant=bad)
+
+
+def quadratic_file(tmp_path, coeffs):
+    path = tmp_path / "quadratic.json"
+    path.write_text(
+        '{"domain": "[0,1]", "cycle": [{"quadratic": [%s]}]}' % ", ".join(coeffs)
+    )
+    return str(path)
+
+
+class TestSystemFileErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "--x", "0"],
+         ["mc", "--x", "0.3", "--epsilon", "0.01", "--n", "4", "--samples", "10"]],
+        ids=["eval", "mc"],
+    )
+    def test_directory_as_system_file(self, tmp_path, capsys, argv):
+        code = main([argv[0], "--system", str(tmp_path), *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        err = strict_json(captured.err)
+        assert err["error"] == "malformed_input" and str(tmp_path) in err["detail"]
+
+    @pytest.mark.parametrize(
+        "mode",
+        [["--x", "0.3", "--epsilon", "0.01"], ["--A", "[0,1/2]", "--B", "[0,1/2]"]],
+        ids=["separation", "correlation"],
+    )
+    def test_mc_rejects_a_quadratic_map_escaping_the_domain(self, tmp_path, capsys, mode):
+        path = quadratic_file(tmp_path, ["0", "5", "-5"])
+        code = main(["mc", "--system", path, *mode, "--n", "40", "--samples", "100"])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        err = strict_json(captured.err)
+        assert err["error"] == "malformed_input" and "outside" in err["detail"]
+
+    @pytest.mark.parametrize(
+        "coeffs", [["NaN", "4", "-4"], ["0", "Infinity", "-4"], ["0", "1" * 400, "-4"]],
+        ids=["nan", "infinity", "beyond_double"],
+    )
+    def test_mc_rejects_non_finite_quadratic_coefficients(self, tmp_path, capsys, coeffs):
+        code = main(["mc", "--system", quadratic_file(tmp_path, coeffs),
+                     "--x", "0.3", "--epsilon", "0.01", "--n", "4", "--samples", "10"])
+        captured = capsys.readouterr()
+        assert code == 2 and "finite" in strict_json(captured.err)["detail"]
+
+    def test_logistic_map_still_loads_and_reports_strict_json(self, tmp_path, capsys):
+        code = main(["mc", "--system", quadratic_file(tmp_path, ["0", "4", "-4"]),
+                     "--x", "0.3", "--epsilon", "0.01", "--n", "40", "--samples", "100"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert 0 <= strict_json(captured.out)["result"]["max_separation"] <= 1
+
+    def test_a_nan_result_is_a_diagnostic_not_invalid_json(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "mc_separation", lambda *args: float("nan"))
+        code = main(["mc", "--system", "tent", "--x", "0.3", "--epsilon", "0.01",
+                     "--n", "4", "--samples", "10"])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert strict_json(captured.err)["error"] == "malformed_input"
 
 
 class TestVerify:

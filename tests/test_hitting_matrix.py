@@ -1,0 +1,195 @@
+"""The hitting matrix against a brute-force reference, and its memo.
+
+The reference is the k-target loop the verdicts used before the matrix
+existed: every image step asks every cell ``meets``.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nadyn import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    GridMismatch,
+    Interval,
+    PropagationBudget,
+    Schedule,
+    bundled_example,
+    hitting_matrix,
+    make_plmap,
+    mixing_verdict,
+    open_grid,
+    propagate,
+    transitivity_verdict,
+    weakmix_verdict,
+)
+
+VERDICTS = [transitivity_verdict, weakmix_verdict, mixing_verdict]
+
+
+def reference_matrix(sch, g, horizon):
+    cells = open_grid(sch.domain, g)
+    masks = []
+    for cell in cells:
+        row = [0] * len(cells)
+        for n, cur in enumerate(propagate(sch, cell, range(horizon), DEFAULT_BUDGET), start=1):
+            for j, target in enumerate(cells):
+                if cur.meets(target):
+                    row[j] |= 1 << (n - 1)
+        masks.append(tuple(row))
+    return cells, tuple(masks)
+
+
+def reference_weakmix_listing(masks):
+    """Every two ordered cell pairs, p1-major and p2-minor, as the verdict lists them."""
+    k = len(masks)
+    pairs = [(u, v) for u in range(k) for v in range(k)]
+    witnesses, unhit = [], []
+    for p1 in pairs:
+        for p2 in pairs:
+            common = masks[p1[0]][p1[1]] & masks[p2[0]][p2[1]]
+            if common:
+                witnesses.append(((p1, p2), (common & -common).bit_length()))
+            else:
+                unhit.append((p1, p2))
+    return tuple(witnesses), tuple(unhit)
+
+
+# domains: the unit interval, one not starting at 0, example31's, a negative one
+DOMAINS = [(F(0), F(1)), (F(1, 3), F(7, 3)), (F(0), F(3, 2)), (F(-1, 2), F(1, 4))]
+
+
+@st.composite
+def grid_systems(draw):
+    """(schedule, g, horizon) whose breakpoints and piece values lie on the half-grid.
+
+    Constant pieces then park points either on a cell boundary (an even
+    half-grid index) or strictly inside a cell (an odd one), and each shared
+    breakpoint is owned by a randomly chosen side, so images carry both flags.
+    """
+    lo, hi = draw(st.sampled_from(DOMAINS))
+    k = draw(st.integers(1, 6))
+    g = (hi - lo) / k
+    half = 2 * k
+
+    def at(i):
+        return lo + g * F(i, 2)
+
+    def one_map():
+        n_pieces = draw(st.integers(1, min(3, half)))
+        cuts = draw(st.lists(st.integers(1, half - 1), unique=True,
+                             min_size=n_pieces - 1, max_size=n_pieces - 1))
+        bounds = [0] + sorted(cuts) + [half]
+        owners = [draw(st.booleans()) for _ in range(n_pieces - 1)]  # True: left piece
+        pieces = []
+        for i in range(n_pieces):
+            p, q = at(bounds[i]), at(bounds[i + 1])
+            lo_open = i > 0 and owners[i - 1]
+            hi_open = i < n_pieces - 1 and not owners[i]
+            u = at(draw(st.integers(0, half)))
+            v = u if draw(st.booleans()) else at(draw(st.integers(0, half)))
+            slope = (v - u) / (q - p)
+            pieces.append((Interval(p, q, lo_open, hi_open), slope, u - slope * p))
+        return make_plmap(Interval(lo, hi), pieces)
+
+    preamble = tuple(one_map() for _ in range(draw(st.integers(0, 1))))
+    cycle = tuple(one_map() for _ in range(draw(st.integers(1, 2))))
+    return Schedule(preamble, cycle, Interval(lo, hi)), g, draw(st.integers(1, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_systems())
+def test_matrix_equals_meets_reference(system):
+    sch, g, horizon = system
+    assert hitting_matrix(sch, g, horizon) == reference_matrix(sch, g, horizon)
+
+
+@pytest.mark.parametrize("g", [F(3, 2), F(3, 4), F(1, 2), F(3, 8), F(1, 4), F(1, 8)])
+def test_example31_matrix_equals_meets_reference(g):
+    sch = bundled_example("example31")
+    assert hitting_matrix(sch, g, 8) == reference_matrix(sch, g, 8)
+
+
+class TestPointImages:
+    def constant(self, value):
+        return Schedule.constant(make_plmap(Interval(0, 1), [(Interval(0, 1), 0, value)]))
+
+    def test_point_on_a_cell_boundary_meets_no_cell(self):
+        _, masks = hitting_matrix(self.constant(F(1, 4)), F(1, 4), 3)
+        assert masks == ((0,) * 4,) * 4
+
+    def test_point_on_the_domain_end_meets_no_cell(self):
+        _, masks = hitting_matrix(self.constant(1), F(1, 4), 3)
+        assert masks == ((0,) * 4,) * 4
+
+    def test_point_inside_a_cell_meets_only_that_cell(self):
+        _, masks = hitting_matrix(self.constant(F(5, 8)), F(1, 4), 3)
+        assert masks == ((0, 0, 0b111, 0),) * 4
+
+
+def test_matrix_is_immutable_and_exposes_the_open_cells():
+    tent = bundled_example("tent")
+    cells, masks = hitting_matrix(tent, "1/4", 4)
+    assert cells == open_grid(tent.domain, F(1, 4))
+    assert isinstance(masks, tuple) and all(isinstance(row, tuple) for row in masks)
+
+
+@pytest.mark.parametrize(
+    "name, g", [("tent", F(1, 8)), ("example31", F(1, 8)),
+                ("tent_doubling_alternating", F(1, 8))],
+)
+def test_weakmix_listing_equals_brute_force_in_order(name, g):
+    sch = bundled_example(name)
+    _, masks = reference_matrix(sch, g, 10)
+    v = weakmix_verdict(sch, g, 10)
+    assert (v.witnesses, v.unhit) == reference_weakmix_listing(masks)
+
+
+class TestMemo:
+    @pytest.mark.parametrize("verdict", VERDICTS)
+    def test_success_under_default_budget_does_not_mask_a_small_budget(self, verdict):
+        # 1-map preamble, then a cycle whose first map splits sets at 1/3
+        tent = bundled_example("tent").cycle[0]
+        split = make_plmap(Interval(0, 1), [(Interval(0, F(1, 3)), F(1, 2), 0),
+                                            (Interval(F(1, 3), 1, lo_open=True), 1, 0)])
+        sch = Schedule((tent,), (split, tent), Interval(0, 1))
+        assert verdict(sch, F(1, 8), 8).horizon == 8
+        for _ in range(2):  # a raised error is raised again, never cached
+            with pytest.raises(BudgetExceeded) as exc:
+                verdict(sch, F(1, 8), 8, PropagationBudget(1))
+            assert (exc.value.step, exc.value.parts, exc.value.max_parts) == (2, 2, 1)
+
+    @pytest.mark.parametrize("verdict", VERDICTS)
+    def test_errors_are_not_cached(self, verdict):
+        tent = bundled_example("tent")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="horizon"):
+                verdict(tent, F(1, 4), 0)
+            with pytest.raises(GridMismatch):
+                verdict(tent, F(3, 7), 4)
+
+    def test_equal_schedules_built_separately_give_equal_verdicts(self):
+        def build():
+            return Schedule.cycling([
+                make_plmap(Interval(0, 1), [(Interval(0, F(1, 2)), 2, 0),
+                                            (Interval(F(1, 2), 1, lo_open=True), -2, 2)]),
+                make_plmap(Interval(0, 1), [(Interval(0, F(1, 2), hi_open=True), 2, 0),
+                                            (Interval(F(1, 2), 1), 2, -1)]),
+            ])
+
+        a, b = build(), build()
+        assert a is not b and a == b
+        for verdict in VERDICTS:
+            assert verdict(a, F(1, 8), 9) == verdict(b, F(1, 8), 9)
+        assert hitting_matrix(b, F(1, 8), 9) == reference_matrix(a, F(1, 8), 9)
+
+    def test_different_schedules_do_not_share_a_matrix(self):
+        g, horizon = F(1, 4), 3
+        for name in ("tent", "doubling", "tent", "doubling"):
+            sch = bundled_example(name)
+            assert hitting_matrix(sch, g, horizon) == reference_matrix(sch, g, horizon)
+        tent = bundled_example("tent")
+        assert hitting_matrix(tent, g, horizon) != hitting_matrix(tent, g, horizon + 1)

@@ -70,23 +70,6 @@ from .topology import (
     weakmix_verdict,
 )
 
-COMMANDS = (
-    "eval",
-    "image",
-    "preimage",
-    "correlate",
-    "cesaro",
-    "density",
-    "kvn",
-    "hitting",
-    "transitivity",
-    "weakmix",
-    "mixing",
-    "sensitivity",
-    "mc",
-    "verify",
-)
-
 INDEX_BASE = {"hitting": 1, "correlation": 0}
 DEFAULT_MAX_PARTS = 1 << 20
 BUDGET_ENV = "NADYN_BUDGET"
@@ -104,19 +87,28 @@ def _resolve_budget(flag_value: int | None) -> tuple[PropagationBudget, str]:
     return PropagationBudget(DEFAULT_MAX_PARTS), "default"
 
 
-def _load_schedule(source: str) -> tuple[Schedule, dict]:
+def _load_system(source: str, *, estimate: bool = False) -> tuple:
+    """Resolve --system: a bundled name, then an existing file.
+
+    With ``estimate`` the system is loaded for the Monte Carlo estimator,
+    which also accepts quadratic maps.
+    """
     if source in BUNDLED_EXAMPLE_NAMES:
         sch = bundled_example(source)
-        return sch, {"source": source, "definition": schedule_to_dict(sch)}
-    if os.path.exists(source):
-        sch = parse_system_file(source)
-        return sch, {"source": source, "definition": schedule_to_dict(sch)}
-    if source.endswith(".json"):
+        if estimate:
+            sch = FloatSchedule.from_schedule(sch)
+    elif os.path.exists(source):
+        sch = (parse_mc_system_file if estimate else parse_system_file)(source)
+    elif source.endswith(".json"):
         raise MalformedInput(f"system file {source!r} does not exist")
-    raise UnknownExample(
-        f"unknown system {source!r}: not a bundled example "
-        f"{list(BUNDLED_EXAMPLE_NAMES)} and no such file"
-    )
+    else:
+        raise UnknownExample(
+            f"unknown system {source!r}: not a bundled example "
+            f"{list(BUNDLED_EXAMPLE_NAMES)} and no such file"
+        )
+    if estimate:
+        return sch, {"source": source, "estimate_only": sch.estimate_only}
+    return sch, {"source": source, "definition": schedule_to_dict(sch)}
 
 
 def _open(path: str, mode: str, **kwargs):
@@ -134,37 +126,31 @@ def _maybe_at_file(text: str) -> str:
     return text
 
 
-def _rational_list(text: str) -> list[Fraction]:
+def _json_list(text: str, item, kind: str = "") -> list:
+    """A JSON list, inline or @file, with ``item`` applied to each entry."""
+    expected = f"expected a JSON list{kind}"
     try:
         loaded = json.loads(_maybe_at_file(text))
     except json.JSONDecodeError as e:
-        raise MalformedInput(f"expected a JSON list: {e}")
+        raise MalformedInput(f"{expected}: {e}")
     if not isinstance(loaded, list):
-        raise MalformedInput("expected a JSON list")
-    out = []
-    for item in loaded:
-        if isinstance(item, bool) or isinstance(item, float):
-            raise MalformedInput(
-                f"{item!r} is not exact; use integers or rational strings"
-            )
-        out.append(parse_rational(str(item)))
-    return out
+        raise MalformedInput(expected)
+    return [item(x) for x in loaded]
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        loaded = json.loads(_maybe_at_file(text))
-    except json.JSONDecodeError as e:
-        raise MalformedInput(f"expected a JSON list of integers: {e}")
-    if not isinstance(loaded, list) or not all(
-        isinstance(i, int) and not isinstance(i, bool) for i in loaded
-    ):
+def _exact_item(x) -> Fraction:
+    if isinstance(x, (bool, float)):
+        raise MalformedInput(f"{x!r} is not exact; use integers or rational strings")
+    return parse_rational(str(x))
+
+
+def _int_item(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
         raise MalformedInput("expected a JSON list of integers")
-    return loaded
+    return x
 
 
-def _fr(q: Fraction) -> str:
-    return format_rational(q)
+_fr = format_rational
 
 
 def _verdict_json(v: Verdict, sch: Schedule) -> dict:
@@ -250,12 +236,12 @@ def _extraction_json(rep: ExceptionalSetReport) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# command handlers -- each returns (report_dict, exit_code)
+# command handlers -- each takes (args, budget), returns (report, exit_code)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_eval(args) -> dict:
-    sch, sysdoc = _load_schedule(args.system)
+def _cmd_eval(args, budget: PropagationBudget) -> tuple[dict, int]:
+    sch, sysdoc = _load_system(args.system)
     x = parse_rational(args.x)
     value = x
     for i in range(args.n):
@@ -264,38 +250,29 @@ def _cmd_eval(args) -> dict:
         "system": sysdoc,
         "parameters": {"x": _fr(x), "n": args.n},
         "result": {"value": _fr(value)},
-    }
+    }, 0
 
 
-def _cmd_image(args, budget: PropagationBudget) -> dict:
-    sch, sysdoc = _load_schedule(args.system)
+def _cmd_image(args, budget: PropagationBudget) -> tuple[dict, int]:
+    """image and preimage; the result key is the command name."""
+    sch, sysdoc = _load_system(args.system)
     s = parse_set_argument(args.set)
-    out = prefix_image(sch, s, args.n, budget)
+    walk = prefix_image if args.command == "image" else prefix_preimage
+    out = walk(sch, s, args.n, budget)
     return {
         "system": sysdoc,
         "parameters": {"set": s.to_json(), "n": args.n},
-        "result": {"image": out.to_json(), "measure": _fr(out.measure())},
-    }
-
-
-def _cmd_preimage(args, budget: PropagationBudget) -> dict:
-    sch, sysdoc = _load_schedule(args.system)
-    s = parse_set_argument(args.set)
-    out = prefix_preimage(sch, s, args.n, budget)
-    return {
-        "system": sysdoc,
-        "parameters": {"set": s.to_json(), "n": args.n},
-        "result": {"preimage": out.to_json(), "measure": _fr(out.measure())},
-    }
+        "result": {args.command: out.to_json(), "measure": _fr(out.measure())},
+    }, 0
 
 
 def _series_from_args(args, budget: PropagationBudget):
-    sch, sysdoc = _load_schedule(args.system)
+    sch, sysdoc = _load_system(args.system)
     a = parse_set_argument(args.A)
     b = parse_set_argument(args.B)
     series = correlation_series(sch, a, b, args.N, budget)
     params = {"A": a.to_json(), "B": b.to_json(), "N": args.N}
-    return sch, sysdoc, series, params
+    return sysdoc, series, params
 
 
 def _series_json(series) -> dict:
@@ -310,8 +287,8 @@ def _series_json(series) -> dict:
     }
 
 
-def _cmd_correlate(args, budget: PropagationBudget) -> dict:
-    _, sysdoc, series, params = _series_from_args(args, budget)
+def _cmd_correlate(args, budget: PropagationBudget) -> tuple[dict, int]:
+    sysdoc, series, params = _series_from_args(args, budget)
     if args.csv:
         with _open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -319,11 +296,11 @@ def _cmd_correlate(args, budget: PropagationBudget) -> dict:
             for i, (v, d) in enumerate(zip(series.values, series.deviations)):
                 writer.writerow([i, _fr(v), _fr(d)])
         params["csv"] = args.csv
-    return {"system": sysdoc, "parameters": params, "result": _series_json(series)}
+    return {"system": sysdoc, "parameters": params, "result": _series_json(series)}, 0
 
 
-def _cmd_cesaro(args, budget: PropagationBudget) -> dict:
-    _, sysdoc, series, params = _series_from_args(args, budget)
+def _cmd_cesaro(args, budget: PropagationBudget) -> tuple[dict, int]:
+    sysdoc, series, params = _series_from_args(args, budget)
     n = args.n if args.n is not None else args.N
     params["n"] = n
     value = cesaro_deviation(series, n)
@@ -337,11 +314,11 @@ def _cmd_cesaro(args, budget: PropagationBudget) -> dict:
             ],
             "series": _series_json(series),
         },
-    }
+    }, 0
 
 
-def _cmd_density(args) -> dict:
-    members = _int_list(args.members)
+def _cmd_density(args, budget: PropagationBudget) -> tuple[dict, int]:
+    members = _json_list(args.members, _int_item, " of integers")
     s = IndexSet(args.horizon, tuple(members))
     stats = density_stats(s, args.tail_start)
     return {
@@ -355,44 +332,42 @@ def _cmd_density(args) -> dict:
             "lower": _fr(stats.lower),
             "note": "finite-horizon proxies over n in [tail_start, horizon], not limits",
         },
-    }
+    }, 0
 
 
-def _cmd_kvn(args, budget: PropagationBudget) -> dict:
+def _cmd_kvn(args, budget: PropagationBudget) -> tuple[dict, int]:
     thresholds = (
-        tuple(_rational_list(args.thresholds))
+        tuple(_json_list(args.thresholds, _exact_item))
         if args.thresholds
         else DEFAULT_THRESHOLDS
     )
     params: dict = {"thresholds": [_fr(t) for t in thresholds]}
     doc: dict = {"parameters": params}
     if args.values is not None:
-        values = _rational_list(args.values)
+        values = _json_list(args.values, _exact_item)
         params["values_count"] = len(values)
     elif args.system is not None:
         if args.A is None or args.B is None or args.N is None:
             raise MalformedInput("kvn with --system needs --A, --B and --N")
-        sch, sysdoc, series, sparams = _series_from_args(args, budget)
+        sysdoc, series, sparams = _series_from_args(args, budget)
         values = list(series.deviations)
         params.update(sparams)
         doc["system"] = sysdoc
     else:
         raise MalformedInput("kvn needs either --values or --system/--A/--B/--N")
     try:
-        rep = extract_exceptional_set(values, thresholds)
+        doc["result"] = _extraction_json(extract_exceptional_set(values, thresholds))
     except NotExtractable as e:
         doc["result"] = {
             "kind": "NOT_EXTRACTABLE",
             "detail": str(e),
             "threshold_index": e.threshold_index,
         }
-        return doc
-    doc["result"] = _extraction_json(rep)
-    return doc
+    return doc, 0
 
 
-def _cmd_hitting(args, budget: PropagationBudget) -> dict:
-    sch, sysdoc = _load_schedule(args.system)
+def _cmd_hitting(args, budget: PropagationBudget) -> tuple[dict, int]:
+    sch, sysdoc = _load_system(args.system)
     u = parse_set_argument(args.U)
     v = parse_set_argument(args.V)
     hs = hitting_set(sch, u, v, args.H, budget)
@@ -400,27 +375,29 @@ def _cmd_hitting(args, budget: PropagationBudget) -> dict:
         "system": sysdoc,
         "parameters": {"U": u.to_json(), "V": v.to_json(), "H": args.H},
         "result": {"hitting_times": list(hs.members), "empty": hs.is_empty},
-    }
+    }, 0
 
 
-def _cmd_verdict(args, budget: PropagationBudget, which: str) -> dict:
-    sch, sysdoc = _load_schedule(args.system)
+_VERDICTS = {
+    "transitivity": transitivity_verdict,
+    "weakmix": weakmix_verdict,
+    "mixing": mixing_verdict,
+}
+
+
+def _cmd_verdict(args, budget: PropagationBudget) -> tuple[dict, int]:
+    sch, sysdoc = _load_system(args.system)
     g = parse_rational(args.grid)
-    fn = {
-        "transitivity": transitivity_verdict,
-        "weakmix": weakmix_verdict,
-        "mixing": mixing_verdict,
-    }[which]
-    verdict = fn(sch, g, args.H, budget)
+    verdict = _VERDICTS[args.command](sch, g, args.H, budget)
     return {
         "system": sysdoc,
         "parameters": {"grid": _fr(g), "H": args.H},
         "result": _verdict_json(verdict, sch),
-    }
+    }, 0
 
 
-def _cmd_sensitivity(args, budget: PropagationBudget) -> dict:
-    sch, sysdoc = _load_schedule(args.system)
+def _cmd_sensitivity(args, budget: PropagationBudget) -> tuple[dict, int]:
+    sch, sysdoc = _load_system(args.system)
     delta = parse_rational(args.delta)
     scale = parse_rational(args.scale)
     res = sensitivity_certificate(sch, delta, scale, args.H, budget)
@@ -428,21 +405,11 @@ def _cmd_sensitivity(args, budget: PropagationBudget) -> dict:
         "system": sysdoc,
         "parameters": {"delta": _fr(delta), "scale": _fr(scale), "H": args.H},
         "result": _sensitivity_json(res),
-    }
+    }, 0
 
 
-def _cmd_mc(args) -> dict:
-    if args.system in BUNDLED_EXAMPLE_NAMES:
-        sch = bundled_example(args.system)
-        fs = FloatSchedule.from_schedule(sch)
-        sysdoc = {"source": args.system, "estimate_only": False}
-    elif os.path.exists(args.system):
-        fs = parse_mc_system_file(args.system)
-        sysdoc = {"source": args.system, "estimate_only": fs.estimate_only}
-    elif args.system.endswith(".json"):
-        raise MalformedInput(f"system file {args.system!r} does not exist")
-    else:
-        raise UnknownExample(f"unknown system {args.system!r}")
+def _cmd_mc(args, budget: PropagationBudget) -> tuple[dict, int]:
+    fs, sysdoc = _load_system(args.system, estimate=True)
     cfg = SampleConfig(sample_count=args.samples, seed=args.seed)
     params = {"n": args.n, "samples": args.samples, "seed": args.seed}
     if args.x is not None:
@@ -459,8 +426,8 @@ def _cmd_mc(args) -> dict:
         estimate, stderr = mc_correlation(fs, a, b, args.n, cfg)
         params.update({"mode": "correlation", "A": a.to_json(), "B": b.to_json()})
         result = {"estimate": estimate, "stderr": stderr}
-    result["estimate_only"] = sysdoc.get("estimate_only", False)
-    return {"system": sysdoc, "parameters": params, "result": result}
+    result["estimate_only"] = sysdoc["estimate_only"]
+    return {"system": sysdoc, "parameters": params, "result": result}, 0
 
 
 def _cmd_verify(args, budget: PropagationBudget) -> tuple[dict, int]:
@@ -539,57 +506,74 @@ def _cmd_verify(args, budget: PropagationBudget) -> tuple[dict, int]:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and dispatch
+# the command table: name -> (handler, option specs)
 # ---------------------------------------------------------------------------
+
+
+def _opt(*flags: str, **kwargs) -> tuple:
+    return flags, kwargs
+
+
+def _optional(spec: tuple, **kwargs) -> tuple:
+    flags, kw = spec
+    return flags, {**kw, "required": False, **kwargs}
+
+
+_SYSTEM = _opt("--system", required=True,
+               help="bundled example name or system JSON file path")
+_H = _opt("--H", type=int, required=True)
+_SERIES = (_opt("--A", required=True), _opt("--B", required=True),
+           _opt("--N", type=int, required=True))
+_IMAGE = (_SYSTEM, _opt("--set", required=True), _opt("--n", type=int, required=True))
+_VERDICT = (_SYSTEM, _opt("--grid", required=True), _H)
+_COMMON = (
+    _opt("--budget", type=int, default=None,
+         help=f"part budget (default {DEFAULT_MAX_PARTS}; env {BUDGET_ENV} overrides)"),
+    _opt("--out", default=None, help="write the JSON report here instead of stdout"),
+)
+
+COMMANDS = {
+    "eval": (_cmd_eval, (
+        _SYSTEM, _opt("--x", required=True), _opt("--n", type=int, default=1))),
+    "image": (_cmd_image, _IMAGE),
+    "preimage": (_cmd_image, _IMAGE),
+    "correlate": (_cmd_correlate, (
+        _SYSTEM, *_SERIES, _opt("--csv", help="write the series to this CSV file"))),
+    "cesaro": (_cmd_cesaro, (
+        _SYSTEM, *_SERIES,
+        _opt("--n", type=int, default=None, help="average length (default N)"))),
+    "density": (_cmd_density, (
+        _opt("--members", required=True, help="JSON list of integers, or @file"),
+        _opt("--horizon", type=int, required=True),
+        _opt("--tail-start", dest="tail_start", type=int, required=True))),
+    "kvn": (_cmd_kvn, (
+        _optional(_SYSTEM, help="system for deviation-sequence extraction"),
+        _opt("--values", help="JSON list of rational strings, or @file"),
+        _opt("--thresholds", help="JSON list of decreasing rational strings"),
+        *map(_optional, _SERIES))),
+    "hitting": (_cmd_hitting, (
+        _SYSTEM, _opt("--U", required=True), _opt("--V", required=True), _H)),
+    "transitivity": (_cmd_verdict, _VERDICT),
+    "weakmix": (_cmd_verdict, _VERDICT),
+    "mixing": (_cmd_verdict, _VERDICT),
+    "sensitivity": (_cmd_sensitivity, (
+        _SYSTEM, _opt("--delta", required=True), _opt("--scale", required=True), _H)),
+    "mc": (_cmd_mc, (
+        _SYSTEM, *map(_optional, _SERIES[:2]),
+        _opt("--x", help="separation mode: orbit start point (float)"),
+        _opt("--epsilon", help="separation mode: neighborhood radius (float)"),
+        _opt("--n", type=int, required=True),
+        _opt("--samples", type=int, default=100_000),
+        _opt("--seed", type=int, default=0))),
+    "verify": (_cmd_verify, (_opt("name", help="bundled scenario: example31 or tent"),)),
+}
 
 
 def _build_parser(command: str) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog=f"nadyn {command}")
-    add = p.add_argument
-    if command in ("eval", "image", "preimage", "correlate", "cesaro", "hitting",
-                   "transitivity", "weakmix", "mixing", "sensitivity", "mc"):
-        add("--system", required=True,
-            help="bundled example name or system JSON file path")
-    if command == "kvn":
-        add("--system", help="system for deviation-sequence extraction")
-        add("--values", help="JSON list of rational strings, or @file")
-        add("--thresholds", help="JSON list of decreasing rational strings")
-        add("--A"), add("--B"), add("--N", type=int)
-    if command == "eval":
-        add("--x", required=True), add("--n", type=int, default=1)
-    if command in ("image", "preimage"):
-        add("--set", required=True), add("--n", type=int, required=True)
-    if command in ("correlate", "cesaro"):
-        add("--A", required=True), add("--B", required=True)
-        add("--N", type=int, required=True)
-    if command == "correlate":
-        add("--csv", help="write the series to this CSV file")
-    if command == "cesaro":
-        add("--n", type=int, default=None, help="average length (default N)")
-    if command == "density":
-        add("--members", required=True, help="JSON list of integers, or @file")
-        add("--horizon", type=int, required=True)
-        add("--tail-start", dest="tail_start", type=int, required=True)
-    if command == "hitting":
-        add("--U", required=True), add("--V", required=True)
-        add("--H", type=int, required=True)
-    if command in ("transitivity", "weakmix", "mixing"):
-        add("--grid", required=True), add("--H", type=int, required=True)
-    if command == "sensitivity":
-        add("--delta", required=True), add("--scale", required=True)
-        add("--H", type=int, required=True)
-    if command == "mc":
-        add("--A"), add("--B")
-        add("--x", help="separation mode: orbit start point (float)")
-        add("--epsilon", help="separation mode: neighborhood radius (float)")
-        add("--n", type=int, required=True)
-        add("--samples", type=int, default=100_000)
-        add("--seed", type=int, default=0)
-    if command == "verify":
-        add("name", help="bundled scenario: example31 or tent")
-    add("--budget", type=int, default=None,
-        help=f"part budget (default {DEFAULT_MAX_PARTS}; env {BUDGET_ENV} overrides)")
-    add("--out", default=None, help="write the JSON report here instead of stdout")
+    p.set_defaults(command=command)
+    for flags, kwargs in COMMANDS[command][1] + _COMMON:
+        p.add_argument(*flags, **kwargs)
     return p
 
 
@@ -613,35 +597,11 @@ def main(argv: list[str] | None = None) -> int:
     if command not in COMMANDS:
         print(f"unknown command {command!r}; choose from {list(COMMANDS)}", file=sys.stderr)
         return 4
-    parser = _build_parser(command)
-    args = parser.parse_args(rest)
+    handler = COMMANDS[command][0]
+    args = _build_parser(command).parse_args(rest)
     try:
         budget, budget_source = _resolve_budget(args.budget)
-        exit_code = 0
-        if command == "eval":
-            doc = _cmd_eval(args)
-        elif command == "image":
-            doc = _cmd_image(args, budget)
-        elif command == "preimage":
-            doc = _cmd_preimage(args, budget)
-        elif command == "correlate":
-            doc = _cmd_correlate(args, budget)
-        elif command == "cesaro":
-            doc = _cmd_cesaro(args, budget)
-        elif command == "density":
-            doc = _cmd_density(args)
-        elif command == "kvn":
-            doc = _cmd_kvn(args, budget)
-        elif command == "hitting":
-            doc = _cmd_hitting(args, budget)
-        elif command in ("transitivity", "weakmix", "mixing"):
-            doc = _cmd_verdict(args, budget, command)
-        elif command == "sensitivity":
-            doc = _cmd_sensitivity(args, budget)
-        elif command == "mc":
-            doc = _cmd_mc(args)
-        else:
-            doc, exit_code = _cmd_verify(args, budget)
+        doc, exit_code = handler(args, budget)
         doc = {
             "command": command,
             "tool_version": __version__,

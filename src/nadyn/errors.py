@@ -31,11 +31,8 @@ class MalformedSystemFile(MalformedInput):
         self.path = path
         self.field = field
         self.message = message
-        prefix = ""
-        if path is not None:
-            prefix += str(path)
-        if field is not None:
-            prefix += ("" if not prefix else ": ") + field
+        # an empty path or field (the top level) adds no prefix
+        prefix = ": ".join(str(p) for p in (path, field) if p)
         super().__init__(f"{prefix}: {message}" if prefix else message)
 
 

@@ -44,8 +44,13 @@ class QuadraticMap:
 
 
 def _compile_plmap(m: PLMap) -> Callable[[np.ndarray], np.ndarray]:
-    # boundary ties go to the lower piece; boundary hits are measure-null
-    uppers = np.array([float(p.on.hi) for p in m.pieces[:-1]])
+    # a breakpoint goes to the piece whose end is closed there, as in the exact
+    # engine (doubling sends 1/2 to 0, not 1): an open end is searched as the
+    # double just below it, so the breakpoint itself counts as past it
+    uppers = np.array([
+        np.nextafter(float(p.on.hi), -np.inf) if p.on.hi_open else float(p.on.hi)
+        for p in m.pieces[:-1]
+    ])
     slopes = np.array([float(p.slope) for p in m.pieces])
     intercepts = np.array([float(p.intercept) for p in m.pieces])
 

@@ -18,6 +18,8 @@ JSON floats are rejected outright (integers are exact and pass).  The
 only place floats are welcome is the ``{"quadratic": [c0, c1, c2]}`` map
 form, which the Monte Carlo estimator accepts and the exact engine does
 not; parsing such a file yields a float schedule flagged estimate-only.
+Both loaders apply the same rules, in one walker: the domain must be a
+closed nondegenerate interval, and a float anywhere else is an error.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .errors import MalformedInput, MalformedSystemFile
 from .intervals import Interval, IntervalSet, format_rational, parse_rational
@@ -86,7 +88,8 @@ def _reject_floats(node: Any, path: str) -> None:
         )
     if isinstance(node, dict):
         for k, v in node.items():
-            _reject_floats(v, f"{path}.{k}" if path else str(k))
+            if k != "quadratic":  # the one form whose coefficients are doubles
+                _reject_floats(v, f"{path}.{k}" if path else str(k))
     elif isinstance(node, list):
         for i, v in enumerate(node):
             _reject_floats(v, f"{path}[{i}]")
@@ -140,38 +143,53 @@ def _plmap_from_dict(node: Any, domain: Interval, path: str) -> PLMap:
         raise MalformedSystemFile(str(e), field=path) from None
 
 
-def schedule_from_dict(doc: Any, *, path: str = "") -> Schedule:
-    if not isinstance(doc, dict):
-        raise MalformedSystemFile("top level must be a JSON object", field=path)
-    _reject_floats(doc, path)
-    if "domain" not in doc or not isinstance(doc["domain"], str):
-        raise MalformedSystemFile('missing domain string, e.g. "[0,1]"', field=path)
+def _walk(doc: Any, path: str | None, step: Callable) -> tuple[Interval, tuple, tuple]:
+    """Validate a system document; ``step(node, domain, field)`` converts each map.
+
+    The rules of the file format live here, for the exact and the Monte Carlo
+    loader alike; every diagnostic names the file ``path`` and the field.
+    """
     try:
-        domain = Interval.parse(doc["domain"])
-    except MalformedInput as e:
-        raise MalformedSystemFile(str(e), field="domain") from None
-    cycle_node = doc.get("cycle")
-    if not isinstance(cycle_node, list) or not cycle_node:
-        raise MalformedSystemFile('"cycle" must be a nonempty list of maps', field=path)
-    preamble_node = doc.get("preamble", [])
-    if not isinstance(preamble_node, list):
-        raise MalformedSystemFile('"preamble" must be a list of maps', field=path)
-    for section in ("preamble", "cycle"):
-        for i, node in enumerate(doc.get(section) or []):
-            if isinstance(node, dict) and "quadratic" in node:
-                raise MalformedSystemFile(
-                    "quadratic float maps are estimate-only; only the mc command "
-                    "accepts them",
-                    field=f"{section}[{i}]",
-                )
-    preamble = tuple(
-        _plmap_from_dict(node, domain, f"preamble[{i}]")
-        for i, node in enumerate(preamble_node)
-    )
-    cycle = tuple(
-        _plmap_from_dict(node, domain, f"cycle[{i}]")
-        for i, node in enumerate(cycle_node)
-    )
+        if not isinstance(doc, dict):
+            raise MalformedSystemFile("top level must be a JSON object")
+        _reject_floats(doc, "")
+        if not isinstance(doc.get("domain"), str):
+            raise MalformedSystemFile('missing domain string, e.g. "[0,1]"')
+        try:
+            domain = Interval.parse(doc["domain"])
+        except MalformedInput as e:
+            raise MalformedSystemFile(str(e), field="domain") from None
+        if domain.lo_open or domain.hi_open or domain.is_point:
+            raise MalformedSystemFile(
+                f"must be a closed nondegenerate interval, got {domain}", field="domain"
+            )
+        cycle = doc.get("cycle")
+        if not isinstance(cycle, list) or not cycle:
+            raise MalformedSystemFile('"cycle" must be a nonempty list of maps')
+        preamble = doc.get("preamble", [])
+        if not isinstance(preamble, list):
+            raise MalformedSystemFile('"preamble" must be a list of maps')
+        preamble, cycle = (
+            tuple(step(node, domain, f"{name}[{i}]") for i, node in enumerate(nodes))
+            for name, nodes in (("preamble", preamble), ("cycle", cycle))
+        )
+    except MalformedSystemFile as e:
+        raise MalformedSystemFile(e.message, path=path, field=e.field) from None
+    return domain, preamble, cycle
+
+
+def _exact_step(node: Any, domain: Interval, field: str) -> PLMap:
+    if isinstance(node, dict) and "quadratic" in node:
+        raise MalformedSystemFile(
+            "quadratic float maps are estimate-only; only the mc command accepts them",
+            field=field,
+        )
+    return _plmap_from_dict(node, domain, field)
+
+
+def schedule_from_dict(doc: Any, *, path: str | None = None) -> Schedule:
+    """The exact schedule a system document describes; ``path`` names its file."""
+    domain, preamble, cycle = _walk(doc, path, _exact_step)
     return Schedule(preamble, cycle, domain)
 
 
@@ -190,11 +208,7 @@ def _load_json(path: str) -> Any:
 
 def parse_system_file(path: str) -> Schedule:
     """Load and validate an exact system file; diagnostics carry field paths."""
-    doc = _load_json(path)
-    try:
-        return schedule_from_dict(doc)
-    except MalformedSystemFile as e:
-        raise MalformedSystemFile(e.message, path=path, field=e.field) from None
+    return schedule_from_dict(_load_json(path), path=path)
 
 
 def write_system_file(path: str, sch: Schedule) -> None:
@@ -209,26 +223,24 @@ def write_system_file(path: str, sch: Schedule) -> None:
 _NOT_FINITE = '"quadratic" coefficients must be finite doubles'
 
 
-def _float_step_from_node(node: Any, domain: Interval, path: str):
-    """Returns (callable, is_estimate_only)."""
-    if isinstance(node, dict) and "quadratic" in node:
-        coeffs = node["quadratic"]
-        if (
-            not isinstance(coeffs, list)
-            or len(coeffs) != 3
-            or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in coeffs)
-        ):
-            raise MalformedSystemFile(
-                '"quadratic" must be a list of three numbers [c0, c1, c2]',
-                field=path,
-            )
-        try:
-            q = QuadraticMap(float(coeffs[0]), float(coeffs[1]), float(coeffs[2]))
-        except OverflowError:  # an integer beyond the range of a double
-            raise MalformedSystemFile(_NOT_FINITE, field=path) from None
-        _check_quadratic_self_map(q, domain, path)
-        return q, True
-    return _compile_plmap(_plmap_from_dict(node, domain, path)), False
+def _float_step(node: Any, domain: Interval, field: str):
+    if not (isinstance(node, dict) and "quadratic" in node):
+        return _compile_plmap(_plmap_from_dict(node, domain, field))
+    coeffs = node["quadratic"]
+    if (
+        not isinstance(coeffs, list)
+        or len(coeffs) != 3
+        or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in coeffs)
+    ):
+        raise MalformedSystemFile(
+            '"quadratic" must be a list of three numbers [c0, c1, c2]', field=field
+        )
+    try:
+        q = QuadraticMap(float(coeffs[0]), float(coeffs[1]), float(coeffs[2]))
+    except OverflowError:  # an integer beyond the range of a double
+        raise MalformedSystemFile(_NOT_FINITE, field=field) from None
+    _check_quadratic_self_map(q, domain, field)
+    return q
 
 
 def _check_quadratic_self_map(q: QuadraticMap, domain: Interval, path: str) -> None:
@@ -256,28 +268,11 @@ def _check_quadratic_self_map(q: QuadraticMap, domain: Interval, path: str) -> N
 
 def parse_mc_system_file(path: str) -> FloatSchedule:
     """Load a system file for the estimator; PL and quadratic maps both work."""
-    doc = _load_json(path)
-    if not isinstance(doc, dict) or "domain" not in doc:
-        raise MalformedSystemFile("missing domain", path=path)
-    try:
-        domain = Interval.parse(doc["domain"])
-    except MalformedInput as e:
-        raise MalformedSystemFile(str(e), path=path, field="domain") from None
-    estimate_only = False
-    sections: dict[str, list] = {}
-    for section in ("preamble", "cycle"):
-        steps = []
-        for i, node in enumerate(doc.get(section) or []):
-            step, est = _float_step_from_node(node, domain, f"{section}[{i}]")
-            estimate_only |= est
-            steps.append(step)
-        sections[section] = steps
-    if not sections["cycle"]:
-        raise MalformedSystemFile('"cycle" must be a nonempty list of maps', path=path)
+    domain, preamble, cycle = _walk(_load_json(path), path, _float_step)
     return FloatSchedule(
         lo=float(domain.lo),
         hi=float(domain.hi),
-        preamble=tuple(sections["preamble"]),
-        cycle=tuple(sections["cycle"]),
-        estimate_only=estimate_only,
+        preamble=preamble,
+        cycle=cycle,
+        estimate_only=any(isinstance(s, QuadraticMap) for s in preamble + cycle),
     )

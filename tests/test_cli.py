@@ -1,8 +1,15 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from nadyn import bundled_example, parse_system_file, write_system_file
+from nadyn import (
+    MalformedSystemFile,
+    bundled_example,
+    parse_system_file,
+    write_system_file,
+)
 from nadyn import cli
 from nadyn.cli import main
 
@@ -378,6 +385,101 @@ class TestSystemFileErrors:
         captured = capsys.readouterr()
         assert code == 2 and not captured.out
         assert strict_json(captured.err)["error"] == "malformed_input"
+
+
+PL_IDENTITY = {"pieces": [{"on": "[0,1]", "slope": "1", "intercept": "0"}]}
+
+MALFORMED_FILES = {
+    "non_string_domain": (
+        {"domain": 5, "cycle": [PL_IDENTITY]},
+        'missing domain string, e.g. "[0,1]"',
+    ),
+    "non_list_preamble": (
+        {"domain": "[0,1]", "preamble": 3, "cycle": [PL_IDENTITY]},
+        '"preamble" must be a list of maps',
+    ),
+    "non_list_cycle": (
+        {"domain": "[0,1]", "cycle": 3},
+        '"cycle" must be a nonempty list of maps',
+    ),
+    "open_domain": (
+        {"domain": "(0,1)", "cycle": [PL_IDENTITY]},
+        "domain: must be a closed nondegenerate interval, got (0,1)",
+    ),
+    "degenerate_domain": (
+        {"domain": "[0,0]", "cycle": [{"quadratic": [0, 0, 0]}]},
+        "domain: must be a closed nondegenerate interval, got [0,0]",
+    ),
+    "float_slope": (
+        {"domain": "[0,1]",
+         "cycle": [{"pieces": [{"on": "[0,1]", "slope": 0.5, "intercept": "0"}]}]},
+        'cycle[0].pieces[0].slope: float literal 0.5 not accepted; write "1/2"',
+    ),
+}
+
+
+LOADER_ARGV = {
+    "eval": ["--x", "0"],
+    "mc": ["--x", "0.3", "--epsilon", "0.01", "--n", "4", "--samples", "10"],
+}
+
+
+class TestOneLoader:
+    @pytest.mark.parametrize("case", list(MALFORMED_FILES))
+    @pytest.mark.parametrize("command", list(LOADER_ARGV))
+    def test_eval_and_mc_reject_a_malformed_file_alike(self, tmp_path, capsys, command, case):
+        doc, message = MALFORMED_FILES[case]
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(doc))
+        code = main([command, "--system", str(path), *LOADER_ARGV[command]])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        err = strict_json(captured.err)
+        assert err["error"] == "malformed_input"
+        assert err["detail"] == f"{path}: {message}"
+
+    def test_quadratic_coefficients_may_be_floats(self, tmp_path, capsys):
+        path = quadratic_file(tmp_path, ["0.0", "3.5", "-3.5"])
+        code = main(["mc", "--system", path, *LOADER_ARGV["mc"]])
+        captured = capsys.readouterr()
+        assert code == 0 and strict_json(captured.out)["result"]["estimate_only"] is True
+
+    def test_top_level_diagnostic_has_one_separator(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"cycle": [PL_IDENTITY]}))
+        code, _, err = run_cli(capsys, "eval", "--system", str(path), "--x", "0")
+        assert code == 2
+        assert err["detail"] == f'{path}: missing domain string, e.g. "[0,1]"'
+        assert str(MalformedSystemFile("m", path="s.json", field="")) == "s.json: m"
+        assert str(MalformedSystemFile("m", field="")) == "m"
+
+
+def readme_cli_lines() -> list[list[str]]:
+    """The argv of every `nadyn ...` line in the README's CLI code block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [argv[1:] for argv in lines if argv and argv[0] == "nadyn"]
+
+
+class TestCommandTable:
+    def test_readme_examples_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # --csv writes next to the caller
+        monkeypatch.delenv("NADYN_BUDGET", raising=False)
+        lines = readme_cli_lines()
+        assert {argv[0] for argv in lines} == set(cli.COMMANDS)
+        for argv in lines:
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 0, (argv, captured.err)
+            assert strict_json(captured.out)["command"] == argv[0]
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_help(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: nadyn {command}")
 
 
 class TestVerify:

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from nadyn import (
+    BUNDLED_EXAMPLE_NAMES,
     EMPTY_SET,
     FloatSchedule,
     Interval,
@@ -55,6 +57,22 @@ class TestCorrelation:
         full = IntervalSet.parse("[0,1]")
         estimate, stderr = mc_correlation(TENT, full, full, 2, SampleConfig(1000, seed=0))
         assert estimate == 1.0 and stderr == 0.0
+
+
+class TestBreakpoints:
+    def test_float_step_gives_each_breakpoint_to_the_piece_that_owns_it(self):
+        # doubling owns 1/2 on its right piece: 1/2 -> 0, not 1
+        rng = random.Random(53)
+        systems = [bundled_example(name) for name in BUNDLED_EXAMPLE_NAMES]
+        systems += [rand_schedule(rng, mixing_bias=True) for _ in range(40)]
+        for sch in systems:
+            fs = FloatSchedule.from_schedule(sch)
+            for i in range(len(sch.preamble) + len(sch.cycle)):
+                m = sch.map_at(i)
+                for x in sorted({e for p in m.pieces for e in (p.on.lo, p.on.hi)}):
+                    got = fs.map_at(i)(np.array([float(x)]))[0]
+                    want = float(m.eval_point(x))
+                    assert got == pytest.approx(want, abs=1e-12), (m, x)
 
 
 class TestSeparation:

@@ -243,6 +243,8 @@ def _extraction_json(rep: ExceptionalSetReport) -> dict:
 def _cmd_eval(args, budget: PropagationBudget) -> tuple[dict, int]:
     sch, sysdoc = _load_system(args.system)
     x = parse_rational(args.x)
+    if args.n < 0:
+        raise MalformedInput("n must be >= 0")
     value = x
     for i in range(args.n):
         value = sch.map_at(i).eval_point(value)
@@ -569,8 +571,13 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise MalformedInput(message)  # a JSON diagnostic, not argparse's usage text
+
+
 def _build_parser(command: str) -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog=f"nadyn {command}")
+    p = _Parser(prog=f"nadyn {command}")
     p.set_defaults(command=command)
     for flags, kwargs in COMMANDS[command][1] + _COMMON:
         p.add_argument(*flags, **kwargs)
@@ -595,13 +602,13 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     command, rest = argv[0], argv[1:]
     if command not in COMMANDS:
-        print(f"unknown command {command!r}; choose from {list(COMMANDS)}", file=sys.stderr)
+        _diagnostic(command, "unknown_command",
+                    f"unknown command {command!r}; choose from {list(COMMANDS)}")
         return 4
-    handler = COMMANDS[command][0]
-    args = _build_parser(command).parse_args(rest)
     try:
+        args = _build_parser(command).parse_args(rest)
         budget, budget_source = _resolve_budget(args.budget)
-        doc, exit_code = handler(args, budget)
+        doc, exit_code = COMMANDS[command][0](args, budget)
         doc = {
             "command": command,
             "tool_version": __version__,
@@ -624,7 +631,9 @@ def main(argv: list[str] | None = None) -> int:
     return exit_code
 
 
-def _diagnostic(command: str, kind: str, err: Exception, extra: dict | None = None) -> None:
+def _diagnostic(
+    command: str, kind: str, err: Exception | str, extra: dict | None = None
+) -> None:
     doc = {"command": command, "error": kind, "detail": str(err)}
     if extra:
         doc.update(extra)

@@ -302,62 +302,20 @@ class IntervalSet:
         return canonicalize(self.parts + other.parts)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out: list[Interval] = []
-        i = j = 0
-        a, b = self.parts, other.parts
-        while i < len(a) and j < len(b):
-            got = a[i].intersect(b[j])
-            if got is not None:
-                out.append(got)
-            # advance whichever part ends first
-            if (a[i].hi, not a[i].hi_open) <= (b[j].hi, not b[j].hi_open):
-                i += 1
-            else:
-                j += 1
         # pieces of distinct canonical parts can never merge
-        return IntervalSet(tuple(out))
+        return IntervalSet(tuple(_overlaps(self.parts, other.parts)))
 
     def subtract(self, other: "IntervalSet") -> "IntervalSet":
-        out: list[Interval] = []
-        j0 = 0
-        for p in self.parts:
-            cur_lo, cur_lo_open = p.lo, p.lo_open
-            alive = True
-            for j in range(j0, len(other.parts)):
-                q = other.parts[j]
-                if q.hi < p.lo:
-                    j0 = j + 1
-                    continue
-                if q.lo > p.hi:
-                    break
-                if not p.intersects(q):
-                    continue
-                frag = _fragment(cur_lo, cur_lo_open, q.lo, not q.lo_open)
-                if frag is not None:
-                    out.append(frag)
-                cur_lo, cur_lo_open = q.hi, not q.hi_open
-                if (cur_lo, cur_lo_open) > (p.hi, not p.hi_open):
-                    alive = False
-                    break
-            if alive:
-                frag = _fragment(cur_lo, cur_lo_open, p.hi, p.hi_open)
-                if frag is not None:
-                    out.append(frag)
-        # fragments are separated by removed or original gaps: already canonical
-        return IntervalSet(tuple(out))
+        if not self.parts:
+            return self
+        # the flags of self's parts decide the ends, so the hull can be closed
+        hull = Interval(self.parts[0].lo, self.parts[-1].hi)
+        # pieces are separated by removed parts or original gaps: already canonical
+        return IntervalSet(tuple(_overlaps(self.parts, tuple(_gaps(other, hull)))))
 
     def meets(self, other: "IntervalSet") -> bool:
         """True iff the exact intersection is nonempty, honoring flags."""
-        i = j = 0
-        a, b = self.parts, other.parts
-        while i < len(a) and j < len(b):
-            if a[i].intersects(b[j]):
-                return True
-            if (a[i].hi, not a[i].hi_open) <= (b[j].hi, not b[j].hi_open):
-                i += 1
-            else:
-                j += 1
-        return False
+        return next(_overlaps(self.parts, other.parts), None) is not None
 
     def subset_of(self, other: "IntervalSet") -> bool:
         return self.subtract(other).is_empty
@@ -376,6 +334,31 @@ def _fragment(lo, lo_open, hi, hi_open) -> Interval | None:
     if lo == hi and (lo_open or hi_open):
         return None
     return Interval(lo, hi, lo_open, hi_open)
+
+
+def _overlaps(a: tuple[Interval, ...], b: tuple[Interval, ...]) -> Iterator[Interval]:
+    """Yield the nonempty intersections of two canonical part tuples, in order."""
+    i = j = 0
+    while i < len(a) and j < len(b):
+        got = a[i].intersect(b[j])
+        if got is not None:
+            yield got
+        # advance whichever part ends first
+        if (a[i].hi, not a[i].hi_open) <= (b[j].hi, not b[j].hi_open):
+            i += 1
+        else:
+            j += 1
+
+
+def _gaps(s: IntervalSet, hull: Interval) -> Iterator[Interval]:
+    """The gaps between the parts of s, in order, from hull's start to its end.
+
+    A gap between two parts of s may lie outside the hull; intersecting
+    with sets inside the hull discards it.
+    """
+    starts = [(hull.lo, hull.lo_open)] + [(q.hi, not q.hi_open) for q in s.parts]
+    ends = [(q.lo, not q.lo_open) for q in s.parts] + [(hull.hi, hull.hi_open)]
+    return filter(None, (_fragment(*lo, *hi) for lo, hi in zip(starts, ends)))
 
 
 EMPTY_SET = IntervalSet(())

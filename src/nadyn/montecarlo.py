@@ -156,7 +156,9 @@ def mc_separation(
     y is drawn uniformly from the epsilon-ball around x clipped to the
     domain; the result is a lower bound on the true supremum.
     """
-    if epsilon <= 0:
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if not epsilon > 0:  # NaN included
         raise ValueError("epsilon must be positive")
     fs = _as_float_schedule(system)
     if not (fs.lo <= x <= fs.hi):

@@ -69,30 +69,21 @@ class PLMap:
         d = self.domain
         if d.lo_open or d.hi_open or d.is_point:
             raise MalformedInterval(f"domain must be a closed nondegenerate interval, got {d}")
-        if not self.pieces:
-            raise PieceGap("no pieces: the whole domain is uncovered")
         pieces = tuple(sorted(self.pieces, key=lambda p: p.on.sort_key()))
         object.__setattr__(self, "pieces", pieces)
-        first, last = pieces[0].on, pieces[-1].on
-        if first.lo > d.lo or (first.lo == d.lo and first.lo_open):
-            raise PieceGap(f"domain start {d.lo} uncovered (first piece begins at {first})")
-        if first.lo < d.lo:
-            raise PieceOverlap(f"piece {first} extends below the domain start")
+        # in sort_key order, pieces that miss their neighbours miss each other
         for a, b in zip(pieces, pieces[1:]):
-            if b.on.lo > a.on.hi:
-                raise PieceGap(f"gap between {a.on} and {b.on}")
-            if b.on.lo < a.on.hi:
-                raise PieceOverlap(f"{a.on} and {b.on} overlap")
-            covered_left = not a.on.hi_open
-            covered_right = not b.on.lo_open
-            if covered_left and covered_right:
-                raise PieceOverlap(f"point {a.on.hi} covered by both {a.on} and {b.on}")
-            if not covered_left and not covered_right:
-                raise PieceGap(f"point {a.on.hi} covered by neither {a.on} nor {b.on}")
-        if last.hi < d.hi or (last.hi == d.hi and last.hi_open):
-            raise PieceGap(f"domain end {d.hi} uncovered (last piece ends at {last})")
-        if last.hi > d.hi:
-            raise PieceOverlap(f"piece {last} extends beyond the domain end")
+            common = a.on.intersect(b.on)
+            if common is not None:
+                raise PieceOverlap(f"pieces {a.on} and {b.on} overlap in {common}")
+        covered = canonicalize(p.on for p in pieces)
+        whole = IntervalSet((d,))
+        if covered != whole:  # canonical sets are equal iff they are the same point set
+            outside = covered.subtract(whole)
+            if not outside.is_empty:
+                raise PieceOverlap(f"pieces cover {outside} outside the domain {d}")
+            gap = whole.subtract(covered)
+            raise PieceGap(f"pieces leave a gap: no piece covers {gap} of the domain {d}")
         for p in pieces:
             img = _affine_interval(p.on, p.slope, p.intercept)
             if img.lo < d.lo or img.hi > d.hi:

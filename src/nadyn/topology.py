@@ -121,12 +121,9 @@ def invariant_set_certificate(
                 img,
                 f"scheduled map #{i} sends W onto {img}, escaping W = {w}",
             )
-    if w.meets(v):
-        raise NotInvariant(
-            "separation",
-            w.intersect(v),
-            f"W meets V in {w.intersect(v)}",
-        )
+    common = w.intersect(v)
+    if not common.is_empty:
+        raise NotInvariant("separation", common, f"W meets V in {common}")
     return InvariantSetCertificate(w=w, u=u, v=v, checked_maps=len(maps))
 
 
@@ -168,34 +165,28 @@ class Verdict:
         return self.kind == WITNESSED_UP_TO
 
 
-def open_grid(domain: Interval, g: Fraction) -> tuple[IntervalSet, ...]:
-    """Open cells of exact width g tiling the domain; g must divide it."""
+def _cell_bounds(domain: Interval, g, error: type, noun: str) -> list[tuple]:
+    """(lo, hi) of each cell of exact width g tiling the domain; g must divide it."""
     g = as_rational(g)
     length = domain.hi - domain.lo
     if g <= 0 or g > length:
-        raise GridMismatch(f"grid width {g} does not fit the domain {domain}")
+        raise error(f"{noun} width {g} does not fit the domain {domain}")
     cells = length / g
     if cells.denominator != 1:
-        raise GridMismatch(f"grid width {g} does not divide the domain length {length}")
+        raise error(f"{noun} width {g} does not divide the domain length {length}")
+    return [(domain.lo + i * g, domain.lo + (i + 1) * g) for i in range(int(cells))]
+
+
+def open_grid(domain: Interval, g: Fraction) -> tuple[IntervalSet, ...]:
+    """Open cells of exact width g tiling the domain; g must divide it."""
     return tuple(
-        IntervalSet(
-            (Interval(domain.lo + i * g, domain.lo + (i + 1) * g, True, True),)
-        )
-        for i in range(int(cells))
+        IntervalSet((Interval(lo, hi, True, True),))
+        for lo, hi in _cell_bounds(domain, g, GridMismatch, "grid")
     )
 
 
 def closed_grid(domain: Interval, g: Fraction) -> tuple[Interval, ...]:
-    g = as_rational(g)
-    length = domain.hi - domain.lo
-    if g <= 0 or g > length:
-        raise ScaleMismatch(f"cell width {g} does not fit the domain {domain}")
-    cells = length / g
-    if cells.denominator != 1:
-        raise ScaleMismatch(f"cell width {g} does not divide the domain length {length}")
-    return tuple(
-        Interval(domain.lo + i * g, domain.lo + (i + 1) * g) for i in range(int(cells))
-    )
+    return tuple(Interval(lo, hi) for lo, hi in _cell_bounds(domain, g, ScaleMismatch, "cell"))
 
 
 # matrices kept by hitting_matrix: the three verdicts of one (g, H) share one
@@ -255,6 +246,33 @@ def _least_bit(mask: int) -> int:
     return (mask & -mask).bit_length()  # 1-based hitting index; 0 for no bit
 
 
+def _pairwise(masks, score) -> tuple[list, list]:
+    """Witnesses ((u, v), score) for the cell pairs scoring nonzero, and the unhit rest."""
+    witnesses = []
+    unhit = []
+    for ui, row in enumerate(masks):
+        for vi, mask in enumerate(row):
+            n = score(mask)
+            if n:
+                witnesses.append(((ui, vi), n))
+            else:
+                unhit.append((ui, vi))
+    return witnesses, unhit
+
+
+def _verdict(name: str, g, horizon: int, witnesses, unhit, tail=None) -> Verdict:
+    """WITNESSED_UP_TO with the tail when no pair is unhit, else INCONCLUSIVE."""
+    return Verdict(
+        property_name=name,
+        kind=INCONCLUSIVE if unhit else WITNESSED_UP_TO,
+        grid=as_rational(g),
+        horizon=horizon,
+        tail=None if unhit else tail,
+        witnesses=tuple(witnesses),
+        unhit=tuple(unhit),
+    )
+
+
 def transitivity_verdict(
     sch: Schedule,
     g: Fraction,
@@ -267,23 +285,7 @@ def transitivity_verdict(
     invariant-set certificate.
     """
     _, masks = hitting_matrix(sch, g, horizon, budget)
-    witnesses = []
-    unhit = []
-    for ui, row in enumerate(masks):
-        for vi, mask in enumerate(row):
-            if mask:
-                witnesses.append(((ui, vi), _least_bit(mask)))
-            else:
-                unhit.append((ui, vi))
-    kind = WITNESSED_UP_TO if not unhit else INCONCLUSIVE
-    return Verdict(
-        property_name="transitivity",
-        kind=kind,
-        grid=as_rational(g),
-        horizon=horizon,
-        witnesses=tuple(witnesses),
-        unhit=tuple(unhit),
-    )
+    return _verdict("transitivity", g, horizon, *_pairwise(masks, _least_bit))
 
 
 def weakmix_verdict(
@@ -320,15 +322,7 @@ def weakmix_verdict(
         hit_pairs, hit_times, miss_pairs = templates[c1]
         witnesses.extend(zip(zip(repeat(p1), hit_pairs), hit_times))
         unhit.extend(zip(repeat(p1), miss_pairs))
-    kind = WITNESSED_UP_TO if not unhit else INCONCLUSIVE
-    return Verdict(
-        property_name="weak_mixing",
-        kind=kind,
-        grid=as_rational(g),
-        horizon=horizon,
-        witnesses=tuple(witnesses),
-        unhit=tuple(unhit),
-    )
+    return _verdict("weak_mixing", g, horizon, witnesses, unhit)
 
 
 def mixing_verdict(
@@ -340,35 +334,14 @@ def mixing_verdict(
     """Find the least tail start N with every pair hit at all n in {N..horizon}."""
     _, masks = hitting_matrix(sch, g, horizon, budget)
     full = (1 << horizon) - 1
-    witnesses = []
-    unhit = []
-    tail = 1
-    for ui, row in enumerate(masks):
-        for vi, mask in enumerate(row):
-            missing = full & ~mask
-            start = missing.bit_length() + 1  # first index past the last miss
-            if start > horizon:
-                unhit.append((ui, vi))
-            else:
-                witnesses.append(((ui, vi), start))
-                tail = max(tail, start)
-    if unhit:
-        return Verdict(
-            property_name="mixing",
-            kind=INCONCLUSIVE,
-            grid=as_rational(g),
-            horizon=horizon,
-            witnesses=tuple(witnesses),
-            unhit=tuple(unhit),
-        )
-    return Verdict(
-        property_name="mixing",
-        kind=WITNESSED_UP_TO,
-        grid=as_rational(g),
-        horizon=horizon,
-        tail=tail,
-        witnesses=tuple(witnesses),
-    )
+
+    def tail_start(mask: int) -> int:
+        start = (full & ~mask).bit_length() + 1  # first index past the last miss
+        return start if start <= horizon else 0
+
+    witnesses, unhit = _pairwise(masks, tail_start)
+    tail = max((n for _, n in witnesses), default=None)
+    return _verdict("mixing", g, horizon, witnesses, unhit, tail)
 
 
 def certified_fail_verdict(
@@ -465,8 +438,7 @@ def sensitivity_certificate(
     scale = as_rational(scale)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    _check_horizon(horizon)
     cells = closed_grid(sch.domain, scale)
     goal = 2 * delta
     found: list[CellWitness] = []
@@ -474,18 +446,14 @@ def sensitivity_certificate(
     for cell in cells:
         whole = IntervalSet((cell,))
         best = whole.diameter()
-        hit = None
         for n, cur in enumerate(propagate(sch, whole, range(horizon), budget), start=1):
             d = cur.diameter()
-            if d > best:
-                best = d
+            best = max(best, d)
             if d > goal:
-                hit = CellWitness(cell=cell, n=n, diameter=d)
+                found.append(CellWitness(cell=cell, n=n, diameter=d))
                 break
-        if hit is None:
-            failed.append(CellFailure(cell=cell, max_diameter=best))
         else:
-            found.append(hit)
+            failed.append(CellFailure(cell=cell, max_diameter=best))
     if failed:
         return SensitivityFailure(
             delta=delta, scale=scale, horizon=horizon, failures=tuple(failed)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -253,6 +254,49 @@ class TestExitCodes:
     def test_unknown_command(self, capsys):
         assert main(["entropy"]) == 4
 
+    def test_unknown_command_is_a_json_diagnostic(self, capsys):
+        code = main(["bogus", "--x", "0"])
+        captured = capsys.readouterr()
+        assert code == 4 and not captured.out
+        err = strict_json(captured.err)
+        assert err["command"] == "bogus" and err["error"] == "unknown_command"
+        assert err["detail"].startswith("unknown command 'bogus'; choose from ['eval'")
+
+    @pytest.mark.parametrize("argv,detail", [
+        (["hitting", "--system", "tent", "--U", "(0,1/4)", "--V", "(3/4,1)"],
+         "the following arguments are required: --H"),
+        (["hitting", "--system", "tent", "--U", "(0,1/4)", "--V", "(3/4,1)", "--H", "x"],
+         "argument --H: invalid int value: 'x'"),
+        (["eval", "--system", "tent", "--x", "0", "--y", "1"],
+         "unrecognized arguments: --y 1"),
+        (["verify"], "the following arguments are required: name"),
+    ])
+    def test_usage_error_is_a_json_diagnostic(self, capsys, argv, detail):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert strict_json(captured.err) == {
+            "command": argv[0], "error": "malformed_input", "detail": detail,
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--system", "tent", "--x", "1/3", "--n", "-1"],
+        ["mc", "--system", "tent", "--x", "0.3", "--epsilon", "0.1", "--n", "-1",
+         "--samples", "10"],
+    ])
+    def test_negative_step_count(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert strict_json(captured.err) == {
+            "command": argv[0], "error": "malformed_input", "detail": "n must be >= 0",
+        }
+
+    def test_nan_epsilon_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "mc", "--system", "tent", "--x", "0.3",
+                               "--epsilon", "nan", "--n", "3", "--samples", "10")
+        assert code == 2 and err["detail"] == "epsilon must be positive"
+
     def test_unknown_example(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--system", "lorenz", "--x", "0")
         assert code == 4 and err["error"] == "unknown_example"
@@ -462,17 +506,29 @@ def readme_cli_lines() -> list[list[str]]:
     return [argv[1:] for argv in lines if argv and argv[0] == "nadyn"]
 
 
+# sha256 of each README example's stdout, recorded before a refactor of the
+# set algebra and the verdict reductions that must not change any report. A
+# change that alters a report on purpose, or the tool version, records new
+# digests; the `mc` digests also pin numpy's seeded random stream.
+README_REPORT_SHA256 = json.loads(
+    (Path(__file__).resolve().parent / "readme_report_sha256.json").read_text(encoding="utf-8")
+)
+
+
 class TestCommandTable:
     def test_readme_examples_run(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)  # --csv writes next to the caller
         monkeypatch.delenv("NADYN_BUDGET", raising=False)
         lines = readme_cli_lines()
         assert {argv[0] for argv in lines} == set(cli.COMMANDS)
+        assert {shlex.join(["nadyn", *argv]) for argv in lines} == set(README_REPORT_SHA256)
         for argv in lines:
             code = main(argv)
             captured = capsys.readouterr()
             assert code == 0, (argv, captured.err)
             assert strict_json(captured.out)["command"] == argv[0]
+            digest = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
+            assert digest == README_REPORT_SHA256[shlex.join(["nadyn", *argv])], argv
 
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_help(self, capsys, command):

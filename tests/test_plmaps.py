@@ -28,7 +28,7 @@ from nadyn import (
     transitivity_verdict,
     weakmix_verdict,
 )
-from randgen import UNIT, interval_sets_in, plmaps, schedules
+from randgen import UNIT, interval_sets_in, intervals_in, plmaps, schedules
 
 TENT = bundled_example("tent")
 DOUBLING = bundled_example("doubling")
@@ -89,6 +89,54 @@ class TestConstruction:
             ],
         )
         assert m.eval_point(0) == F(1, 2)
+
+
+@st.composite
+def piece_layouts(draw):
+    """Pieces with ends on the 1/8 grid of [-1/8, 9/8]; half are near-tilings of [0,1].
+
+    A near-tiling gives each cut to the left piece, the right piece, a point
+    piece, both or neither; its ends may be open or miss the domain's; and
+    a free piece may be added on top.
+    """
+    free = draw(st.lists(intervals_in(F(-1, 8), F(9, 8), den=10), max_size=5))
+    if draw(st.booleans()):
+        return free
+    cuts = [F(c, 8) for c in sorted(draw(st.sets(st.integers(2, 6), max_size=3)))]
+    ends = [draw(st.sampled_from([F(0), F(0), F(-1, 8), F(1, 8)])), *cuts,
+            draw(st.sampled_from([F(1), F(1), F(9, 8), F(7, 8)]))]
+    who = st.sampled_from(["left", "right", "point", "left", "right", "both", "neither"])
+    owners = [draw(who) for _ in cuts]
+    opens = [draw(st.sampled_from([False, False, True]))]
+    for owner in owners:
+        opens += [owner not in ("left", "both"), owner not in ("right", "both")]
+    opens.append(draw(st.sampled_from([False, False, True])))
+    tiles = [Interval(lo, hi, opens[2 * i], opens[2 * i + 1])
+             for i, (lo, hi) in enumerate(zip(ends, ends[1:]))]
+    points = [Interval(c, c) for c, owner in zip(cuts, owners) if owner == "point"]
+    return tiles + points + free[: draw(st.integers(0, 1))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(piece_layouts())
+def test_tiling_verdict_matches_sampled_coverage(layout):
+    """Every multiple of 1/16 in [-1/8, 9/8] samples a distinct atom of the layout."""
+    samples = [F(k, 16) for k in range(-2, 19)]
+    cover = {x: sum(iv.contains(x) for iv in layout) for x in samples}
+    inside = [x for x in samples if 0 <= x <= 1]
+    twice = any(cover[x] > 1 for x in inside) or any(
+        cover[x] for x in samples if not 0 <= x <= 1
+    )
+    gap = any(cover[x] == 0 for x in inside)
+    pieces = [(iv, 0, 0) for iv in layout]
+    if twice:
+        with pytest.raises(PieceOverlap):
+            make_plmap(UNIT, pieces)
+    elif gap:
+        with pytest.raises(PieceGap):
+            make_plmap(UNIT, pieces)
+    else:
+        assert make_plmap(UNIT, pieces).eval_point(F(1, 2)) == 0
 
 
 class TestEvalPoint:

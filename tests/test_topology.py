@@ -109,7 +109,8 @@ class TestMixing:
         assert v.kind == WITNESSED_UP_TO and v.tail == 2
 
     def test_three_branch_inconclusive(self):
-        assert mixing_verdict(E31, F(1, 4), 30).kind == INCONCLUSIVE
+        v = mixing_verdict(E31, F(1, 4), 30)
+        assert v.kind == INCONCLUSIVE and v.unhit and v.tail is None
 
     def test_single_cell_tail_one(self):
         v = mixing_verdict(TENT, 1, 1)

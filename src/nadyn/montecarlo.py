@@ -40,23 +40,37 @@ class QuadraticMap:
     c2: float
 
     def __call__(self, xs: np.ndarray) -> np.ndarray:
-        return self.c0 + xs * (self.c1 + xs * self.c2)
+        # in place; IEEE + and * commute, so these are the doubles of
+        # c0 + xs*(c1 + xs*c2)
+        ys = xs * self.c2
+        ys += self.c1
+        ys *= xs
+        ys += self.c0
+        return ys
 
 
 def _compile_plmap(m: PLMap) -> Callable[[np.ndarray], np.ndarray]:
     # a breakpoint goes to the piece whose end is closed there, as in the exact
-    # engine (doubling sends 1/2 to 0, not 1): an open end is searched as the
+    # engine (doubling sends 1/2 to 0, not 1): an open end is compared as the
     # double just below it, so the breakpoint itself counts as past it
-    uppers = np.array([
+    uppers = [
         np.nextafter(float(p.on.hi), -np.inf) if p.on.hi_open else float(p.on.hi)
         for p in m.pieces[:-1]
-    ])
+    ]
     slopes = np.array([float(p.slope) for p in m.pieces])
     intercepts = np.array([float(p.intercept) for p in m.pieces])
 
     def step(xs: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(uppers, xs, side="left")
-        return slopes[idx] * xs + intercepts[idx]
+        # the piece index is the number of interior ends below x: one
+        # comparison pass per end beats a binary search at the few pieces
+        # real maps have, and equals searchsorted(side="left") on finite xs
+        idx = np.zeros(xs.shape, dtype=np.intp)
+        for u in uppers:
+            idx += xs > u
+        ys = slopes.take(idx)
+        ys *= xs
+        ys += intercepts.take(idx)
+        return ys
 
     return step
 

@@ -50,9 +50,11 @@ def parse_set_argument(text: str) -> IntervalSet:
             loaded = json.loads(text)
         except json.JSONDecodeError:
             loaded = None
-        if not isinstance(loaded, list):
+        # "[0,0.5]" is also JSON, but numbers are no set: keep the literal's
+        # error, which carries the exact-form hint
+        if not isinstance(loaded, list) or not all(isinstance(t, str) for t in loaded):
             raise
-    return IntervalSet.parse([str(t) for t in loaded])
+    return IntervalSet.parse(loaded)
 
 
 # -- schedule <-> JSON ------------------------------------------------------

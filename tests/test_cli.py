@@ -329,6 +329,19 @@ class TestExitCodes:
         )
         assert code == 2 and err["error"] == "malformed_input"
 
+    @pytest.mark.parametrize("text", ["[0,0.5]", "(0,0.5)"])
+    def test_decimal_in_set_literal_gets_the_exact_form_hint(self, capsys, text):
+        # "[0,0.5]" is also a JSON list of numbers; that must not hide the hint
+        code, _, err = run_cli(capsys, "image", "--system", "tent", "--set", text, "--n", "1")
+        assert code == 2 and err["error"] == "malformed_input"
+        assert err["detail"] == (
+            'float literal "0.5" not accepted; write the exact rational "1/2"'
+        )
+        for good, parsed in [("[0,1]", ["[0,1]"]),
+                             ('["[0,1/2]","(3/4,1]"]', ["[0,1/2]", "(3/4,1]"])]:
+            code, doc, _ = run_cli(capsys, "image", "--system", "tent", "--set", good, "--n", "1")
+            assert code == 0 and doc["parameters"]["set"] == parsed
+
     @pytest.mark.parametrize("command", ["transitivity", "weakmix", "mixing"])
     def test_verdicts_reject_zero_horizon(self, capsys, command):
         code, doc, err = run_cli(

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from nadyn import (
     BUNDLED_EXAMPLE_NAMES,
@@ -20,7 +21,8 @@ from nadyn import (
     mc_separation,
     prefix_image,
 )
-from randgen import UNIT, rand_schedule
+from nadyn.montecarlo import _compile_plmap
+from randgen import UNIT, plmaps, rand_schedule
 
 TENT = bundled_example("tent")
 HALF = IntervalSet.parse("[0,1/2]")
@@ -73,6 +75,66 @@ class TestBreakpoints:
                     got = fs.map_at(i)(np.array([float(x)]))[0]
                     want = float(m.eval_point(x))
                     assert got == pytest.approx(want, abs=1e-12), (m, x)
+
+
+def searchsorted_step(m):
+    """Reference PL step: each sample's piece found by binary search."""
+    uppers = np.array([
+        np.nextafter(float(p.on.hi), -np.inf) if p.on.hi_open else float(p.on.hi)
+        for p in m.pieces[:-1]
+    ])
+    slopes = np.array([float(p.slope) for p in m.pieces])
+    intercepts = np.array([float(p.intercept) for p in m.pieces])
+
+    def step(xs):
+        idx = np.searchsorted(uppers, xs, side="left")
+        return slopes[idx] * xs + intercepts[idx]
+
+    return step
+
+
+def assert_step_matches_searchsorted(m, seed=0):
+    ends = np.array(sorted({float(e) for p in m.pieces for e in (p.on.lo, p.on.hi)}))
+    xs = np.concatenate([
+        np.random.default_rng(seed).uniform(float(m.domain.lo), float(m.domain.hi), 100_000),
+        ends,
+        np.nextafter(ends, -np.inf),
+        np.nextafter(ends, np.inf),
+    ])
+    got, want = _compile_plmap(m)(xs), searchsorted_step(m)(xs)
+    assert np.array_equal(got, want), m
+
+
+class TestStepKernel:
+    @pytest.mark.parametrize("name", BUNDLED_EXAMPLE_NAMES)
+    def test_bundled_maps_match_searchsorted_bit_for_bit(self, name):
+        sch = bundled_example(name)
+        for i, m in enumerate(sch.preamble + sch.cycle):
+            assert_step_matches_searchsorted(m, seed=i)
+
+    @settings(max_examples=80, deadline=None)
+    @given(plmaps())
+    @example(make_plmap(UNIT, [(UNIT, F(-3, 4), F(7, 8))]))  # one piece: no ends to count
+    def test_random_maps_match_searchsorted_bit_for_bit(self, m):
+        assert_step_matches_searchsorted(m)
+
+    def test_many_piece_map(self):
+        # 50 chords between grid values, open and closed upper ends alternating
+        rng, k = random.Random(48), 50
+        pieces = []
+        for i in range(k):
+            p, q = F(i, k), F(i + 1, k)
+            u, v = F(rng.randint(0, 64), 64), F(rng.randint(0, 64), 64)
+            slope = (v - u) / (q - p)
+            iv = Interval(p, q, lo_open=i > 0 and i % 2 == 0, hi_open=i % 2 == 0 and i < k - 1)
+            pieces.append((iv, slope, u - slope * p))
+        assert_step_matches_searchsorted(make_plmap(UNIT, pieces))
+
+    def test_in_place_quadratic_matches_the_nested_form(self):
+        xs = np.random.default_rng(5).uniform(0.0, 1.0, 100_000)
+        for c0, c1, c2 in [(0.0, 4.0, -4.0), (0.1, 3.7, -3.7), (1 / 3, -0.7, 0.29)]:
+            want = c0 + xs * (c1 + xs * c2)
+            assert np.array_equal(QuadraticMap(c0, c1, c2)(xs), want)
 
 
 class TestSeparation:

@@ -5,8 +5,8 @@ defaults, budget, and the index conventions (hitting times start at 1,
 correlation lags at 0) -- so a report is interpretable on its own.
 
 Exit codes: 0 completed analysis (INCONCLUSIVE and not-extractable
-verdicts included), 2 malformed input, 3 part budget exceeded, 4 unknown
-command or example name.
+verdicts included), 1 a `verify` scenario with a failed check, 2 malformed
+input, 3 part budget exceeded, 4 unknown command or example name.
 """
 
 from __future__ import annotations
@@ -21,13 +21,9 @@ from fractions import Fraction
 from . import __version__
 from .errors import (
     BudgetExceeded,
-    GridMismatch,
-    HorizonExceeded,
     MalformedInput,
     NotExtractable,
     NotInvariant,
-    OutOfDomain,
-    ScaleMismatch,
     UnknownExample,
 )
 from .intervals import IntervalSet, format_rational, parse_rational
@@ -43,6 +39,7 @@ from .mixing import (
 from .montecarlo import FloatSchedule, SampleConfig, mc_correlation, mc_separation
 from .plmaps import (
     BUNDLED_EXAMPLE_NAMES,
+    DEFAULT_BUDGET,
     PropagationBudget,
     Schedule,
     bundled_example,
@@ -71,7 +68,6 @@ from .topology import (
 )
 
 INDEX_BASE = {"hitting": 1, "correlation": 0}
-DEFAULT_MAX_PARTS = 1 << 20
 BUDGET_ENV = "NADYN_BUDGET"
 
 
@@ -84,7 +80,7 @@ def _resolve_budget(flag_value: int | None) -> tuple[PropagationBudget, str]:
             return PropagationBudget(int(env)), "env"
         except ValueError:
             raise MalformedInput(f"{BUDGET_ENV} must be a positive integer, got {env!r}")
-    return PropagationBudget(DEFAULT_MAX_PARTS), "default"
+    return DEFAULT_BUDGET, "default"
 
 
 def _load_system(source: str, *, estimate: bool = False) -> tuple:
@@ -432,79 +428,72 @@ def _cmd_mc(args, budget: PropagationBudget) -> tuple[dict, int]:
     return {"system": sysdoc, "parameters": params, "result": result}, 0
 
 
+# verify checks: each reads (system, parameters, budget), returns one "checks" entry
+
+
+def _certificate_check(sch: Schedule, p: dict, budget: PropagationBudget) -> dict:
+    u, v, w = (IntervalSet.parse(p[k]) for k in ("U", "V", "W"))
+    try:
+        cert = invariant_set_certificate(sch, u, v, w)
+    except NotInvariant as e:
+        return {"check": "invariant_set_certificate", "passed": False, "detail": str(e)}
+    hs = hitting_set(sch, u, v, p["H"], budget)
+    return {
+        "check": "invariant_set_certificate",
+        "passed": hs.is_empty,
+        "verdict": _verdict_json(certified_fail_verdict("transitivity", cert, p["H"]), sch),
+        "hitting_times_up_to_horizon": list(hs.members),
+    }
+
+
+def _weakmix_check(sch: Schedule, p: dict, budget: PropagationBudget) -> dict:
+    wx = weakmix_verdict(sch, parse_rational(p["grid"]), p["H"], budget)
+    return {
+        "check": "weakmix_verdict",
+        "passed": wx.witnessed,
+        "verdict": {"kind": wx.kind, "grid": p["grid"], "horizon": p["H"]},
+    }
+
+
+def _sensitivity_check(sch: Schedule, p: dict, budget: PropagationBudget) -> dict:
+    delta, scale = parse_rational(p["delta"]), parse_rational(p["scale"])
+    res = sensitivity_certificate(sch, delta, scale, p["H"], budget)
+    return {"check": "sensitivity_certificate", "passed": res.passed,
+            "report": _sensitivity_json(res)}
+
+
+# name -> (the report's parameters, the checks run on the bundled system `name`)
+SCENARIOS = {
+    "example31": (
+        {"U": ["(0,1)"], "V": ["(1,3/2)"], "W": ["[0,1]"],
+         "delta": "1/4", "scale": "1/64", "H": 30},
+        (_certificate_check, _sensitivity_check),
+    ),
+    # weak mixing witnessed at a finite grid forces a working sensitivity
+    # constant out of any two reference points: check both sides.
+    "tent": (
+        {"grid": "1/16", "H": 16, "delta": _fr(sensitivity_constant(0, 1)),
+         "scale": "1/16", "reference_points": ["0", "1"]},
+        (_weakmix_check, _sensitivity_check),
+    ),
+}
+
+
 def _cmd_verify(args, budget: PropagationBudget) -> tuple[dict, int]:
-    name = args.name
-    if name == "example31":
-        sch = bundled_example("example31")
-        u = IntervalSet.parse("(0,1)")
-        v = IntervalSet.parse("(1,3/2)")
-        w = IntervalSet.parse("[0,1]")
-        horizon = 30
-        checks = []
-        ok = True
-        try:
-            cert = invariant_set_certificate(sch, u, v, w)
-            hs = hitting_set(sch, u, v, horizon, budget)
-            cert_ok = hs.is_empty
-            verdict = certified_fail_verdict("transitivity", cert, horizon)
-            checks.append(
-                {
-                    "check": "invariant_set_certificate",
-                    "passed": cert_ok,
-                    "verdict": _verdict_json(verdict, sch),
-                    "hitting_times_up_to_horizon": list(hs.members),
-                }
-            )
-            ok &= cert_ok
-        except NotInvariant as e:
-            checks.append(
-                {"check": "invariant_set_certificate", "passed": False, "detail": str(e)}
-            )
-            ok = False
-        res = sensitivity_certificate(sch, Fraction(1, 4), Fraction(1, 64), horizon, budget)
-        checks.append(
-            {"check": "sensitivity_certificate", "passed": res.passed,
-             "report": _sensitivity_json(res)}
+    if args.name not in SCENARIOS:
+        raise UnknownExample(
+            f"no bundled verification scenario named {args.name!r}; "
+            f"choose {' or '.join(SCENARIOS)}"
         )
-        ok &= res.passed
-        doc = {
-            "system": {"source": "example31", "definition": schedule_to_dict(sch)},
-            "parameters": {
-                "U": u.to_json(), "V": v.to_json(), "W": w.to_json(),
-                "delta": "1/4", "scale": "1/64", "H": horizon,
-            },
-            "result": {"passed": ok, "checks": checks},
-        }
-        return doc, 0 if ok else 1
-    if name == "tent":
-        # weak mixing witnessed at a finite grid forces a working sensitivity
-        # constant out of any two reference points: check both sides.
-        sch = bundled_example("tent")
-        delta = sensitivity_constant(0, 1)
-        wx = weakmix_verdict(sch, Fraction(1, 16), 16, budget)
-        res = sensitivity_certificate(sch, delta, Fraction(1, 16), 16, budget)
-        ok = wx.witnessed and res.passed
-        doc = {
-            "system": {"source": "tent", "definition": schedule_to_dict(sch)},
-            "parameters": {
-                "grid": "1/16", "H": 16,
-                "delta": _fr(delta), "scale": "1/16",
-                "reference_points": ["0", "1"],
-            },
-            "result": {
-                "passed": ok,
-                "checks": [
-                    {"check": "weakmix_verdict", "passed": wx.witnessed,
-                     "verdict": {"kind": wx.kind, "grid": "1/16", "horizon": 16}},
-                    {"check": "sensitivity_certificate", "passed": res.passed,
-                     "report": _sensitivity_json(res)},
-                ],
-            },
-        }
-        return doc, 0 if ok else 1
-    raise UnknownExample(
-        f"no bundled verification scenario named {name!r}; choose example31 or tent"
-    )
+    params, checks = SCENARIOS[args.name]
+    sch, sysdoc = _load_system(args.name)
+    results = [check(sch, params, budget) for check in checks]
+    passed = all(c["passed"] for c in results)
+    return {
+        "system": sysdoc,
+        "parameters": params,
+        "result": {"passed": passed, "checks": results},
+    }, 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +519,7 @@ _IMAGE = (_SYSTEM, _opt("--set", required=True), _opt("--n", type=int, required=
 _VERDICT = (_SYSTEM, _opt("--grid", required=True), _H)
 _COMMON = (
     _opt("--budget", type=int, default=None,
-         help=f"part budget (default {DEFAULT_MAX_PARTS}; env {BUDGET_ENV} overrides)"),
+         help=f"part budget (default {DEFAULT_BUDGET.max_parts}; env {BUDGET_ENV} overrides)"),
     _opt("--out", default=None, help="write the JSON report here instead of stdout"),
 )
 
@@ -567,7 +556,8 @@ COMMANDS = {
         _opt("--n", type=int, required=True),
         _opt("--samples", type=int, default=100_000),
         _opt("--seed", type=int, default=0))),
-    "verify": (_cmd_verify, (_opt("name", help="bundled scenario: example31 or tent"),)),
+    "verify": (_cmd_verify, (
+        _opt("name", help=f"bundled scenario: {' or '.join(SCENARIOS)}"),)),
 }
 
 
@@ -617,8 +607,7 @@ def main(argv: list[str] | None = None) -> int:
             **doc,
         }
         _emit(doc, args.out)
-    except (MalformedInput, OutOfDomain, GridMismatch, ScaleMismatch,
-            HorizonExceeded, NotInvariant, ValueError) as e:
+    except (MalformedInput, ValueError) as e:
         _diagnostic(command, "malformed_input", e)
         return 2
     except BudgetExceeded as e:

@@ -1,8 +1,10 @@
 """Exception hierarchy for the nadyn toolkit.
 
-``MalformedInput`` subclasses map to CLI exit code 2, ``BudgetExceeded``
-to exit 3, ``UnknownExample`` to exit 4.  Everything else signals misuse
-of the library API.
+``MalformedInput`` and its subclasses map to CLI exit code 2: the parse
+errors, the rejected maps, and the requests that do not fit the system
+(``OutOfDomain``, ``GridMismatch``, ``ScaleMismatch``, ``HorizonExceeded``).
+``BudgetExceeded`` maps to exit 3, ``UnknownExample`` to exit 4.  Everything
+else signals misuse of the library API.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ class NadynError(Exception):
 
 
 class MalformedInput(NadynError):
-    """Input text/file could not be parsed into exact data."""
+    """Input rejected: it does not parse into exact data, or does not fit the system."""
 
 
 class MalformedRational(MalformedInput):
@@ -53,7 +55,7 @@ class NotSelfMap(MalformedInput):
         super().__init__(message)
 
 
-class OutOfDomain(NadynError):
+class OutOfDomain(MalformedInput):
     pass
 
 
@@ -72,7 +74,7 @@ class BudgetExceeded(NadynError):
         )
 
 
-class HorizonExceeded(NadynError):
+class HorizonExceeded(MalformedInput):
     pass
 
 
@@ -88,11 +90,11 @@ class NotExtractable(NadynError):
         super().__init__(message)
 
 
-class GridMismatch(NadynError):
+class GridMismatch(MalformedInput):
     pass
 
 
-class ScaleMismatch(NadynError):
+class ScaleMismatch(MalformedInput):
     pass
 
 

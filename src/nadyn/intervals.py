@@ -128,10 +128,6 @@ class Interval:
     def is_point(self) -> bool:
         return self.lo == self.hi
 
-    @property
-    def length(self) -> Fraction:
-        return self.hi - self.lo
-
     def sort_key(self):
         return (self.lo, self.lo_open, self.hi, self.hi_open)
 
@@ -161,9 +157,6 @@ class Interval:
         if lo > hi or (lo == hi and (lo_open or hi_open)):
             return None
         return Interval(lo, hi, lo_open, hi_open)
-
-    def intersects(self, other: "Interval") -> bool:
-        return self.intersect(other) is not None
 
 
 def _mergeable(a: Interval, b: Interval) -> bool:
@@ -232,10 +225,6 @@ class IntervalSet:
     @classmethod
     def empty(cls) -> "IntervalSet":
         return cls(())
-
-    @classmethod
-    def of(cls, *intervals: Interval) -> "IntervalSet":
-        return canonicalize(intervals)
 
     @classmethod
     def parse(cls, spec) -> "IntervalSet":

@@ -11,7 +11,6 @@ as limits.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -37,10 +36,6 @@ class IndexSet:
         object.__setattr__(self, "members", tuple(sorted(set(self.members))))
         if self.members and not (0 <= self.members[0] and self.members[-1] < self.horizon):
             raise ValueError(f"members must lie in [0, {self.horizon})")
-
-    def count_below(self, n: int) -> int:
-        """|members ∩ {0..n-1}|."""
-        return bisect_right(self.members, n - 1)
 
 
 @dataclass(frozen=True, slots=True)

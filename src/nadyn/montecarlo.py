@@ -87,22 +87,20 @@ class FloatSchedule:
 
     @classmethod
     def from_schedule(cls, sch: Schedule) -> "FloatSchedule":
-        return cls(
-            lo=float(sch.domain.lo),
-            hi=float(sch.domain.hi),
-            preamble=tuple(_compile_plmap(m) for m in sch.preamble),
-            cycle=tuple(_compile_plmap(m) for m in sch.cycle),
-            estimate_only=False,
-        )
+        return cls.from_steps(sch.domain.lo, sch.domain.hi, sch.preamble, sch.cycle)
 
     @classmethod
-    def from_steps(cls, lo: float, hi: float, preamble, cycle) -> "FloatSchedule":
+    def from_steps(cls, lo, hi, preamble, cycle) -> "FloatSchedule":
+        """Compile the ``PLMap`` steps; estimate-only iff some step is not one."""
+        preamble, cycle = tuple(preamble), tuple(cycle)
+        steps = preamble + cycle
+        compiled = tuple(_compile_plmap(m) if isinstance(m, PLMap) else m for m in steps)
         return cls(
-            lo=lo,
-            hi=hi,
-            preamble=tuple(preamble),
-            cycle=tuple(cycle),
-            estimate_only=True,
+            lo=float(lo),
+            hi=float(hi),
+            preamble=compiled[: len(preamble)],
+            cycle=compiled[len(preamble) :],
+            estimate_only=not all(isinstance(m, PLMap) for m in steps),
         )
 
     map_at = Schedule.map_at  # the same eventually-periodic indexing rule

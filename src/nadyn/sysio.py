@@ -31,7 +31,7 @@ from typing import Any, Callable
 
 from .errors import MalformedInput, MalformedSystemFile
 from .intervals import Interval, IntervalSet, format_rational, parse_rational
-from .montecarlo import FloatSchedule, QuadraticMap, _compile_plmap
+from .montecarlo import FloatSchedule, QuadraticMap
 from .plmaps import PLMap, Piece, Schedule
 
 
@@ -227,7 +227,7 @@ _NOT_FINITE = '"quadratic" coefficients must be finite doubles'
 
 def _float_step(node: Any, domain: Interval, field: str):
     if not (isinstance(node, dict) and "quadratic" in node):
-        return _compile_plmap(_plmap_from_dict(node, domain, field))
+        return _plmap_from_dict(node, domain, field)
     coeffs = node["quadratic"]
     if (
         not isinstance(coeffs, list)
@@ -271,10 +271,4 @@ def _check_quadratic_self_map(q: QuadraticMap, domain: Interval, path: str) -> N
 def parse_mc_system_file(path: str) -> FloatSchedule:
     """Load a system file for the estimator; PL and quadratic maps both work."""
     domain, preamble, cycle = _walk(_load_json(path), path, _float_step)
-    return FloatSchedule(
-        lo=float(domain.lo),
-        hi=float(domain.hi),
-        preamble=preamble,
-        cycle=cycle,
-        estimate_only=any(isinstance(s, QuadraticMap) for s in preamble + cycle),
-    )
+    return FloatSchedule.from_steps(domain.lo, domain.hi, preamble, cycle)

@@ -6,7 +6,12 @@ from pathlib import Path
 import pytest
 
 from nadyn import (
+    GridMismatch,
+    HorizonExceeded,
+    MalformedInput,
     MalformedSystemFile,
+    OutOfDomain,
+    ScaleMismatch,
     bundled_example,
     parse_system_file,
     write_system_file,
@@ -302,8 +307,30 @@ class TestExitCodes:
         assert code == 4 and err["error"] == "unknown_example"
 
     def test_unknown_verify_scenario(self, capsys):
-        code, _, _ = run_cli(capsys, "verify", "henon")
+        code, _, err = run_cli(capsys, "verify", "henon")
         assert code == 4
+        assert all(name in err["detail"] for name in cli.SCENARIOS)
+
+    @pytest.mark.parametrize("argv,detail", [
+        (["eval", "--system", "tent", "--x", "2"], "2 is not in the domain [0,1]"),
+        (["transitivity", "--system", "tent", "--grid", "2/5", "--H", "4"],
+         "grid width 2/5 does not divide the domain length 1"),
+        (["sensitivity", "--system", "tent", "--delta", "1/8", "--scale", "2/5", "--H", "4"],
+         "cell width 2/5 does not divide the domain length 1"),
+        (["cesaro", "--system", "tent", "--A", "[0,1/2]", "--B", "[0,1/2]",
+          "--N", "4", "--n", "5"], "n = 5 exceeds the series horizon 4"),
+    ])
+    def test_requests_that_do_not_fit_the_system_exit_2(self, capsys, argv, detail):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert strict_json(captured.err) == {
+            "command": argv[0], "error": "malformed_input", "detail": detail,
+        }
+
+    @pytest.mark.parametrize("cls", [OutOfDomain, GridMismatch, ScaleMismatch, HorizonExceeded])
+    def test_exit_2_is_one_exception_family(self, cls):
+        assert issubclass(cls, MalformedInput)
 
     def test_budget_exceeded_exit_3_and_silence(self, capsys, monkeypatch):
         monkeypatch.setenv("NADYN_BUDGET", "64")
@@ -568,3 +595,26 @@ class TestVerify:
         code, doc, _ = run_cli(capsys, "verify", "tent")
         assert code == 0 and doc["result"]["passed"] is True
         assert doc["parameters"]["delta"] == "1/8"
+
+    def test_a_failed_certificate_exits_1_and_the_other_checks_still_run(
+        self, capsys, monkeypatch
+    ):
+        params, checks = cli.SCENARIOS["example31"]
+        monkeypatch.setitem(cli.SCENARIOS, "example31", ({**params, "W": ["[0,1/2]"]}, checks))
+        code, doc, _ = run_cli(capsys, "verify", "example31")
+        assert code == 1 and doc["result"]["passed"] is False
+        assert doc["parameters"]["W"] == ["[0,1/2]"]
+        cert, sens = doc["result"]["checks"]
+        assert cert == {
+            "check": "invariant_set_certificate",
+            "passed": False,
+            "detail": "the first image of U is (0,1], not contained in W = [0,1/2]",
+        }
+        assert sens["check"] == "sensitivity_certificate" and sens["passed"] is True
+
+    def test_help_names_every_scenario(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in cli.SCENARIOS)

@@ -20,8 +20,10 @@ from nadyn import (
     mc_correlation,
     mc_separation,
     prefix_image,
+    write_system_file,
 )
 from nadyn.montecarlo import _compile_plmap
+from nadyn.sysio import parse_mc_system_file
 from randgen import UNIT, plmaps, rand_schedule
 
 TENT = bundled_example("tent")
@@ -180,6 +182,50 @@ class TestQuadraticMaps:
 
     def test_exact_schedule_wrapper_not_estimate_only(self):
         assert not FloatSchedule.from_schedule(TENT).estimate_only
+
+
+def assert_same_orbits(a: FloatSchedule, b: FloatSchedule, n: int = 12) -> None:
+    xs = np.random.default_rng(5).uniform(a.lo, a.hi, 2000)
+    assert (a.lo, a.hi) == (b.lo, b.hi)
+    assert np.array_equal(a.orbit(xs.copy(), n), b.orbit(xs.copy(), n))
+
+
+# the bundled systems have no preamble; the random ones here do, some of them
+SCHEDULES = [bundled_example(name) for name in BUNDLED_EXAMPLE_NAMES] + [
+    rand_schedule(random.Random(seed)) for seed in range(6)
+]
+
+
+class TestFloatScheduleConstructor:
+    """from_steps is the one constructor: it compiles PL steps and sets estimate_only."""
+
+    @pytest.mark.parametrize("sch", SCHEDULES)
+    def test_from_steps_and_from_schedule_agree_bit_for_bit(self, sch):
+        fs = FloatSchedule.from_steps(sch.domain.lo, sch.domain.hi, sch.preamble, sch.cycle)
+        assert not fs.estimate_only
+        assert_same_orbits(fs, FloatSchedule.from_schedule(sch))
+        # the reference: every step compiled by hand, field by field
+        by_hand = FloatSchedule(
+            float(sch.domain.lo),
+            float(sch.domain.hi),
+            tuple(_compile_plmap(m) for m in sch.preamble),
+            tuple(_compile_plmap(m) for m in sch.cycle),
+        )
+        assert_same_orbits(fs, by_hand)
+
+    def test_a_pl_step_beside_a_quadratic_one_is_compiled_and_estimate_only(self):
+        fs = FloatSchedule.from_steps(0, 1, (TENT.cycle[0],), (QuadraticMap(0.0, 4.0, -4.0),))
+        assert fs.estimate_only
+        # tent sends 1/4 to 1/2, the logistic map sends 1/2 to 1
+        assert fs.orbit(np.array([0.25]), 2).tolist() == [1.0]
+
+    @pytest.mark.parametrize("sch", SCHEDULES)
+    def test_pl_system_file_loads_like_from_schedule(self, tmp_path, sch):
+        path = tmp_path / "system.json"
+        write_system_file(str(path), sch)
+        fs = parse_mc_system_file(str(path))
+        assert not fs.estimate_only
+        assert_same_orbits(fs, FloatSchedule.from_schedule(sch))
 
 
 def test_matches_exact_engine_on_the_desk_instance():

@@ -72,14 +72,13 @@ BUDGET_ENV = "NADYN_BUDGET"
 
 
 def _resolve_budget(flag_value: int | None) -> tuple[PropagationBudget, str]:
-    if flag_value is not None:
-        return PropagationBudget(flag_value), "flag"
-    env = os.environ.get(BUDGET_ENV)
-    if env is not None:
-        try:
-            return PropagationBudget(int(env)), "env"
-        except ValueError:
-            raise MalformedInput(f"{BUDGET_ENV} must be a positive integer, got {env!r}")
+    for name, value, source in (("--budget", flag_value, "flag"),
+                                (BUDGET_ENV, os.environ.get(BUDGET_ENV), "env")):
+        if value is not None:
+            try:
+                return PropagationBudget(int(value)), source
+            except ValueError:
+                raise MalformedInput(f"{name} must be a positive integer, got {value!r}")
     return DEFAULT_BUDGET, "default"
 
 

@@ -6,17 +6,26 @@ exactly: ``[0,1]`` and ``(1,3/2)`` are disjoint, and the point ``1/2`` is
 in neither half of ``(0,1/2) ∪ (1/2,1)``.  Lebesgue measure ignores the
 flags; the topology does not.
 
-An :class:`IntervalSet` is always canonical -- parts sorted, pairwise
-disjoint, touching parts with compatible flags merged -- so point-set
-equality coincides with structural equality.
+An :class:`IntervalSet` is stored as ``den``, the least common denominator
+of its ends, and ``keys``, a sorted int tuple with two keys per part: a
+closed end ``v/den`` is ``4v``, an open lower end ``4v+1``, an open upper
+end ``4v-1``.  Every openness rule is then integer order: a part is
+nonempty iff ``lo <= hi``, sorted parts merge iff ``lo <= prev_hi + 1``, a
+gap runs from ``hi + 1`` to the next ``lo - 1``, and intersections take
+``max``/``min``.  Any key ``k`` has the closed value ``(k + 1) >> 2`` and
+the openness ``((k + 1) & 3) - 1``.  A set is always canonical (parts
+merged, ``den`` least), so point-set equality is structural equality.
+:class:`Interval` and ``Fraction`` stay the API: ``.parts`` decodes the
+keys on first use.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator
 
 from .errors import MalformedInterval, MalformedRational
@@ -140,45 +149,54 @@ class Interval:
             return False
         return True
 
-    def intersect(self, other: "Interval") -> "Interval | None":
-        """Exact intersection, or None when empty."""
-        if self.lo > other.lo:
-            lo, lo_open = self.lo, self.lo_open
-        elif self.lo < other.lo:
-            lo, lo_open = other.lo, other.lo_open
+
+def _pairs(keys) -> Iterator[tuple[int, int]]:
+    return zip(keys[::2], keys[1::2])
+
+
+def _scaled(keys, m: int):
+    """The keys on a lattice m times finer: the closed value scales, the openness stays."""
+    if m == 1:
+        return keys
+    return [m * k - (m - 1) * (((k + 1) & 3) - 1) for k in keys]
+
+
+def _overlaps(keys, lo: int, hi: int) -> list[int]:
+    """The keys of keys ∩ (lo, hi): the parts that meet the part (lo, hi), cut to it."""
+    i, j = bisect_left(keys, lo) & ~1, (bisect_right(keys, hi) + 1) & ~1
+    return [max(keys[i], lo), *keys[i + 1:j - 1], min(keys[j - 1], hi)] if i < j else []
+
+
+def _canonical(den: int, keys) -> "IntervalSet":
+    """The union of the nonempty parts in keys, in any order, over its least denominator."""
+    out: list[int] = []
+    for lo, hi in sorted(_pairs(keys)):
+        if out and lo <= out[-1] + 1:
+            out[-1] = max(out[-1], hi)
         else:
-            lo, lo_open = self.lo, self.lo_open or other.lo_open
-        if self.hi < other.hi:
-            hi, hi_open = self.hi, self.hi_open
-        elif self.hi > other.hi:
-            hi, hi_open = other.hi, other.hi_open
-        else:
-            hi, hi_open = self.hi, self.hi_open or other.hi_open
-        if lo > hi or (lo == hi and (lo_open or hi_open)):
-            return None
-        return Interval(lo, hi, lo_open, hi_open)
+            out += (lo, hi)
+    g = gcd(den, *[(k + 1) >> 2 for k in out])
+    if g > 1:
+        out = [4 * (((k + 1) >> 2) // g) + ((k + 1) & 3) - 1 for k in out]
+    s = IntervalSet.__new__(IntervalSet)
+    s.den, s.keys, s._parts = den // g, tuple(out), None
+    return s
 
 
-def _mergeable(a: Interval, b: Interval) -> bool:
-    # requires a.sort_key() <= b.sort_key()
-    if b.lo < a.hi:
-        return True
-    if b.lo > a.hi:
-        return False
-    # touching endpoints merge unless the shared point is in neither part
-    return not (a.hi_open and b.lo_open)
+def _encode(parts) -> tuple[int, list[int]]:
+    """The least common denominator of the parts' ends, and their keys over it."""
+    for iv in parts:
+        if not isinstance(iv, Interval):
+            raise MalformedInterval(f"expected an Interval, got {iv!r}")
+    den = lcm(*(q.denominator for iv in parts for q in (iv.lo, iv.hi)))
+    return den, [k for iv in parts for k in (_key(iv.lo, den) + iv.lo_open,
+                                             _key(iv.hi, den) - iv.hi_open)]
 
 
-def _merge(a: Interval, b: Interval) -> Interval:
-    # requires a.sort_key() <= b.sort_key() and _mergeable(a, b)
-    lo, lo_open = a.lo, (a.lo_open and b.lo_open) if a.lo == b.lo else a.lo_open
-    if b.hi > a.hi:
-        hi, hi_open = b.hi, b.hi_open
-    elif b.hi < a.hi:
-        hi, hi_open = a.hi, a.hi_open
-    else:
-        hi, hi_open = a.hi, a.hi_open and b.hi_open
-    return Interval(lo, hi, lo_open, hi_open)
+def _key(x: Fraction, den: int) -> int:
+    """The key of x over den: 4f at x = f/den, else 4f+2, which sorts between f and f+1."""
+    f, r = divmod(x.numerator * den, x.denominator)
+    return 4 * f + (2 if r else 0)
 
 
 def canonicalize(raw: Iterable[Interval]) -> "IntervalSet":
@@ -186,39 +204,37 @@ def canonicalize(raw: Iterable[Interval]) -> "IntervalSet":
 
     Idempotent; point-set equality is preserved exactly.
     """
-    parts = sorted(raw, key=Interval.sort_key)
-    merged: list[Interval] = []
-    for iv in parts:
-        if not isinstance(iv, Interval):
-            raise MalformedInterval(f"expected an Interval, got {iv!r}")
-        if merged and _mergeable(merged[-1], iv):
-            merged[-1] = _merge(merged[-1], iv)
-        else:
-            merged.append(iv)
-    return IntervalSet(tuple(merged))
+    return _canonical(*_encode(list(raw)))
 
 
-@dataclass(frozen=True, slots=True)
 class IntervalSet:
-    """Canonical finite union of intervals; immutable after construction.
+    """Canonical finite union of intervals, stored as ``den`` and ``keys``.
 
     Use :func:`canonicalize` (or the set operations) to build one from
     arbitrary parts; direct construction demands already-canonical input.
+    Immutable, apart from caching the decoded ``parts`` on first use.
     """
 
-    parts: tuple[Interval, ...] = ()
+    __slots__ = ("den", "keys", "_parts")
 
-    def __post_init__(self):
-        prev: Interval | None = None
-        for iv in self.parts:
-            if not isinstance(iv, Interval):
-                raise MalformedInterval(f"expected an Interval, got {iv!r}")
-            if prev is not None:
-                if prev.sort_key() > iv.sort_key():
-                    raise MalformedInterval("parts not sorted; use canonicalize()")
-                if _mergeable(prev, iv):
-                    raise MalformedInterval("parts overlap or touch; use canonicalize()")
-            prev = iv
+    def __init__(self, parts: Iterable[Interval] = ()):
+        parts = tuple(parts)
+        self.den, keys = _encode(parts)
+        for i in range(1, len(parts)):
+            if parts[i - 1].sort_key() > parts[i].sort_key():
+                raise MalformedInterval("parts not sorted; use canonicalize()")
+            if keys[2 * i] <= keys[2 * i - 1] + 1:
+                raise MalformedInterval("parts overlap or touch; use canonicalize()")
+        self.keys, self._parts = tuple(keys), parts
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, IntervalSet) and (self.den, self.keys) == (other.den, other.keys)
+
+    def __hash__(self) -> int:
+        return hash((self.den, self.keys))
+
+    def __repr__(self) -> str:
+        return f"IntervalSet(parts={self.parts!r})"
 
     # -- constructors -------------------------------------------------
 
@@ -239,14 +255,30 @@ class IntervalSet:
     # -- basic queries ------------------------------------------------
 
     @property
+    def parts(self) -> tuple[Interval, ...]:
+        """The parts as Intervals, decoded from the keys on first use."""
+        if self._parts is None:
+            den = self.den
+            self._parts = tuple(
+                Interval(Fraction((lo + 1) >> 2, den), Fraction((hi + 1) >> 2, den),
+                         lo & 3 == 1, hi & 3 == 3)
+                for lo, hi in _pairs(self.keys)
+            )
+        return self._parts
+
+    @property
+    def part_count(self) -> int:
+        return len(self.keys) // 2
+
+    @property
     def is_empty(self) -> bool:
-        return not self.parts
+        return not self.keys
 
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.parts)
 
     def __str__(self) -> str:
-        if not self.parts:
+        if not self.keys:
             return "∅"
         return " ∪ ".join(str(p) for p in self.parts)
 
@@ -255,56 +287,56 @@ class IntervalSet:
 
     def measure(self) -> Fraction:
         """Total length; openness flags are measure-null."""
-        total = Fraction(0)
-        for p in self.parts:
-            total += p.hi - p.lo
-        return total
-
-    @property
-    def infimum(self) -> Fraction:
-        if not self.parts:
-            raise ValueError("empty set has no infimum")
-        return self.parts[0].lo
-
-    @property
-    def supremum(self) -> Fraction:
-        if not self.parts:
-            raise ValueError("empty set has no supremum")
-        return self.parts[-1].hi
+        return Fraction(sum(((hi + 1) >> 2) - ((lo + 1) >> 2) for lo, hi in _pairs(self.keys)),
+                        self.den)
 
     def diameter(self) -> Fraction:
         """sup - inf (0 for the empty set)."""
-        if not self.parts:
+        if not self.keys:
             return Fraction(0)
-        return self.parts[-1].hi - self.parts[0].lo
+        return Fraction(((self.keys[-1] + 1) >> 2) - ((self.keys[0] + 1) >> 2), self.den)
 
     def contains_point(self, x) -> bool:
-        x = as_rational(x)
-        i = bisect_right(self.parts, x, key=lambda p: p.lo)
-        if i and self.parts[i - 1].contains(x):
-            return True
-        return False
+        k = _key(as_rational(x), self.den)
+        i = bisect_left(self.keys, k)
+        return bool(i & 1) or (i < len(self.keys) and self.keys[i] == k)
+
+    def within(self, domain: Interval) -> bool:
+        """True iff inf and sup lie in the closed hull of domain; flags are ignored."""
+        keys, den = self.keys, self.den
+        return not keys or _key(domain.lo, den) <= keys[0] and keys[-1] <= _key(domain.hi, den)
 
     # -- set operations (exact, canonical results) --------------------
 
+    def _aligned(self, other: "IntervalSet"):
+        den = lcm(self.den, other.den)
+        return den, _scaled(self.keys, den // self.den), _scaled(other.keys, den // other.den)
+
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return canonicalize(self.parts + other.parts)
+        den, a, b = self._aligned(other)
+        return _canonical(den, [*a, *b])
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        # pieces of distinct canonical parts can never merge
-        return IntervalSet(tuple(_overlaps(self.parts, other.parts)))
+        den, a, b = self._aligned(other)
+        if len(a) > len(b):
+            a, b = b, a
+        return _canonical(den, [k for lo, hi in _pairs(a) for k in _overlaps(b, lo, hi)])
 
     def subtract(self, other: "IntervalSet") -> "IntervalSet":
-        if not self.parts:
+        if not self.keys:
             return self
-        # the flags of self's parts decide the ends, so the hull can be closed
-        hull = Interval(self.parts[0].lo, self.parts[-1].hi)
-        # pieces are separated by removed parts or original gaps: already canonical
-        return IntervalSet(tuple(_overlaps(self.parts, tuple(_gaps(other, hull)))))
+        den, a, b = self._aligned(other)
+        # the gaps of other, from the start of self to its end
+        gaps = [a[0], *(k + 1 if i & 1 else k - 1 for i, k in enumerate(b)), a[-1]]
+        return _canonical(den, [k for lo, hi in _pairs(gaps) if lo <= hi
+                                for k in _overlaps(a, lo, hi)])
 
     def meets(self, other: "IntervalSet") -> bool:
         """True iff the exact intersection is nonempty, honoring flags."""
-        return next(_overlaps(self.parts, other.parts), None) is not None
+        _, a, b = self._aligned(other)
+        if len(a) > len(b):
+            a, b = b, a
+        return any(_overlaps(b, lo, hi) for lo, hi in _pairs(a))
 
     def subset_of(self, other: "IntervalSet") -> bool:
         return self.subtract(other).is_empty
@@ -317,37 +349,35 @@ class IntervalSet:
     __sub__ = subtract
 
 
-def _fragment(lo, lo_open, hi, hi_open) -> Interval | None:
-    if lo > hi:
-        return None
-    if lo == hi and (lo_open or hi_open):
-        return None
-    return Interval(lo, hi, lo_open, hi_open)
+def piecewise_affine(s: IntervalSet, pieces) -> IntervalSet:
+    """The union over ``(part, slope, intercept)`` of ``slope*(s ∩ part) + intercept``.
 
-
-def _overlaps(a: tuple[Interval, ...], b: tuple[Interval, ...]) -> Iterator[Interval]:
-    """Yield the nonempty intersections of two canonical part tuples, in order."""
-    i = j = 0
-    while i < len(a) and j < len(b):
-        got = a[i].intersect(b[j])
-        if got is not None:
-            yield got
-        # advance whichever part ends first
-        if (a[i].hi, not a[i].hi_open) <= (b[j].hi, not b[j].hi_open):
-            i += 1
-        else:
-            j += 1
-
-
-def _gaps(s: IntervalSet, hull: Interval) -> Iterator[Interval]:
-    """The gaps between the parts of s, in order, from hull's start to its end.
-
-    A gap between two parts of s may lie outside the hull; intersecting
-    with sets inside the hull discards it.
+    Each part is a one-part IntervalSet.  A piece whose slope is None gives
+    its intercept, a set, whole when s meets its part (the preimage of a
+    constant piece).  Each overlap is mapped key by key by an integer
+    multiply-add on one lattice, and the union is canonicalized once.
     """
-    starts = [(hull.lo, hull.lo_open)] + [(q.hi, not q.hi_open) for q in s.parts]
-    ends = [(q.lo, not q.lo_open) for q in s.parts] + [(hull.hi, hull.hi_open)]
-    return filter(None, (_fragment(*lo, *hi) for lo, hi in zip(starts, ends)))
+    den = lcm(s.den, *(part.den for part, _, _ in pieces))
+    keys = _scaled(s.keys, den // s.den)
+    # every image lands on the lattice of out = den * q
+    q = lcm(*(intercept.den if slope is None else lcm(slope.denominator, intercept.denominator)
+              for _, slope, intercept in pieces))
+    out = den * q
+    got: list[int] = []
+    for part, slope, intercept in pieces:
+        run = _overlaps(keys, *_scaled(part.keys, den // part.den))
+        if not run:
+            continue
+        if slope is None:
+            got += _scaled(intercept.keys, out // intercept.den)
+            continue
+        # a key k = 4v + o (o the openness) goes to 4*m*v + c + sign(m)*o
+        m = slope.numerator * (q // slope.denominator)
+        c = 4 * intercept.numerator * (out // intercept.denominator)
+        d = m - (m > 0) + (m < 0)
+        mapped = [m * k + c - d * (((k + 1) & 3) - 1) for k in run]
+        got += mapped if m >= 0 else reversed(mapped)
+    return _canonical(out, got)
 
 
 EMPTY_SET = IntervalSet(())

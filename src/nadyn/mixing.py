@@ -128,7 +128,7 @@ def correlation_series(
         raise ValueError("n must be >= 1")
     dom = sch.domain
     for name, s in (("A", a), ("B", b)):
-        if not s.is_empty and (s.infimum < dom.lo or s.supremum > dom.hi):
+        if not s.within(dom):
             raise OutOfDomain(f"{name} = {s} is not contained in the domain {dom}")
     length = dom.hi - dom.lo
     mu_a = a.measure() / length

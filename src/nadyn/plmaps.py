@@ -15,7 +15,7 @@ through :func:`propagate`, which guards each step with a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -28,18 +28,7 @@ from .errors import (
     PieceOverlap,
     UnknownExample,
 )
-from .intervals import Interval, IntervalSet, as_rational, canonicalize
-
-
-def _affine_interval(iv: Interval, slope: Fraction, intercept: Fraction) -> Interval:
-    """Exact image of one interval under x -> slope*x + intercept."""
-    if slope == 0:
-        return Interval(intercept, intercept)
-    a = slope * iv.lo + intercept
-    b = slope * iv.hi + intercept
-    if slope > 0:
-        return Interval(a, b, iv.lo_open, iv.hi_open)
-    return Interval(b, a, iv.hi_open, iv.lo_open)
+from .intervals import Interval, IntervalSet, as_rational, canonicalize, piecewise_affine
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,6 +53,9 @@ class PLMap:
 
     domain: Interval
     pieces: tuple[Piece, ...]
+    # (part, slope, intercept) triples for piecewise_affine, one per piece
+    _forward: tuple = field(init=False, repr=False, compare=False)
+    _backward: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.domain
@@ -71,10 +63,10 @@ class PLMap:
             raise MalformedInterval(f"domain must be a closed nondegenerate interval, got {d}")
         pieces = tuple(sorted(self.pieces, key=lambda p: p.on.sort_key()))
         object.__setattr__(self, "pieces", pieces)
+        ons = [IntervalSet((p.on,)) for p in pieces]
         # in sort_key order, pieces that miss their neighbours miss each other
-        for a, b in zip(pieces, pieces[1:]):
-            common = a.on.intersect(b.on)
-            if common is not None:
+        for a, b, common in zip(pieces, pieces[1:], map(IntervalSet.intersect, ons, ons[1:])):
+            if not common.is_empty:
                 raise PieceOverlap(f"pieces {a.on} and {b.on} overlap in {common}")
         covered = canonicalize(p.on for p in pieces)
         whole = IntervalSet((d,))
@@ -84,62 +76,39 @@ class PLMap:
                 raise PieceOverlap(f"pieces cover {outside} outside the domain {d}")
             gap = whole.subtract(covered)
             raise PieceGap(f"pieces leave a gap: no piece covers {gap} of the domain {d}")
-        for p in pieces:
-            img = _affine_interval(p.on, p.slope, p.intercept)
-            if img.lo < d.lo or img.hi > d.hi:
+        forward = tuple((on, p.slope, p.intercept) for on, p in zip(ons, pieces))
+        backward = []
+        for p, on, step in zip(pieces, ons, forward):
+            img = piecewise_affine(on, (step,))
+            if not img.within(d):
                 raise NotSelfMap(
                     f"piece {p} maps onto {img}, outside the domain {d}",
                     piece=p,
-                    image=img,
+                    image=img.parts[0],
                 )
-
-    def piece_at(self, x: Fraction) -> Piece:
-        for p in self.pieces:
-            if p.on.contains(x):
-                return p
-        raise OutOfDomain(f"{x} is not in the domain {self.domain}")
+            # x -> (x - intercept) / slope on the image; a constant piece is all or nothing
+            inverse = (1 / p.slope, -p.intercept / p.slope) if p.slope else (None, on)
+            backward.append((img, *inverse))
+        object.__setattr__(self, "_forward", forward)
+        object.__setattr__(self, "_backward", tuple(backward))
 
     def eval_point(self, x) -> Fraction:
         """Exact value at a domain point."""
         x = as_rational(x)
-        if not self.domain.contains(x):
-            raise OutOfDomain(f"{x} is not in the domain {self.domain}")
-        p = self.piece_at(x)
-        return p.slope * x + p.intercept
+        for on, slope, intercept in self._forward:
+            if on.contains_point(x):
+                return slope * x + intercept
+        raise OutOfDomain(f"{x} is not in the domain {self.domain}")
 
     def image_set(self, s: IntervalSet) -> IntervalSet:
         """Exact forward image of a subset of the domain."""
-        if not s.is_empty and (s.infimum < self.domain.lo or s.supremum > self.domain.hi):
+        if not s.within(self.domain):
             raise OutOfDomain(f"set {s} is not contained in the domain {self.domain}")
-        out: list[Interval] = []
-        for p in self.pieces:
-            for part in s.parts:
-                got = part.intersect(p.on)
-                if got is not None:
-                    out.append(_affine_interval(got, p.slope, p.intercept))
-        return canonicalize(out)
+        return piecewise_affine(s, self._forward)
 
     def preimage_set(self, s: IntervalSet) -> IntervalSet:
         """Exact preimage within the domain; s may be any interval set."""
-        out: list[Interval] = []
-        for p in self.pieces:
-            if p.slope == 0:
-                # a constant piece contributes all of itself or nothing
-                if s.contains_point(p.intercept):
-                    out.append(p.on)
-                continue
-            inv_slope = Fraction(1) / p.slope
-            inv_intercept = -p.intercept * inv_slope
-            run: list[Interval] = []
-            for part in s.parts:
-                cand = _affine_interval(part, inv_slope, inv_intercept).intersect(p.on)
-                if cand is not None:
-                    run.append(cand)
-            if p.slope < 0:
-                run.reverse()
-            out.extend(run)
-        # runs are emitted piece-by-piece in domain order: already sorted
-        return canonicalize(out)
+        return piecewise_affine(s, self._backward)
 
 
 def make_plmap(domain: Interval, pieces) -> PLMap:
@@ -210,8 +179,8 @@ class PropagationBudget:
             raise ValueError("max_parts must be >= 1")
 
     def check(self, step: int, s: IntervalSet) -> None:
-        if len(s.parts) > self.max_parts:
-            raise BudgetExceeded(step, len(s.parts), self.max_parts)
+        if s.part_count > self.max_parts:
+            raise BudgetExceeded(step, s.part_count, self.max_parts)
 
 
 DEFAULT_BUDGET = PropagationBudget()

@@ -109,22 +109,29 @@ def interval_sets_in(draw, lo=Fraction(0), hi=Fraction(1), max_parts=3, den=16):
 
 
 @st.composite
-def plmaps(draw, den=8, max_pieces=3):
+def plmaps(draw, den=8, max_pieces=3, domain=UNIT):
     n_pieces = draw(st.integers(1, max_pieces))
     cuts = draw(
         st.lists(st.integers(1, den - 1), unique=True,
                  min_size=n_pieces - 1, max_size=n_pieces - 1)
     )
-    bounds = [Fraction(0)] + [Fraction(c, den) for c in sorted(cuts)] + [Fraction(1)]
+    lo, span = domain.lo, domain.hi - domain.lo
+    bounds = [lo] + [lo + span * Fraction(c, den) for c in sorted(cuts)] + [domain.hi]
     pieces = []
     for i in range(n_pieces):
         p, q = bounds[i], bounds[i + 1]
         iv = Interval(p, q, lo_open=i > 0, hi_open=False)
-        u = Fraction(draw(st.integers(0, den)), den)
-        v = Fraction(draw(st.integers(0, den)), den)
+        u = lo + span * Fraction(draw(st.integers(0, den)), den)
+        v = lo + span * Fraction(draw(st.integers(0, den)), den)
         slope = (v - u) / (q - p)
         pieces.append((iv, slope, u - slope * p))
-    return make_plmap(UNIT, pieces)
+    return make_plmap(domain, pieces)
+
+
+def maps_with_sets(domains):
+    """(map, subset) pairs on a domain drawn from domains, both scaled to it."""
+    return st.sampled_from(domains).flatmap(
+        lambda d: st.tuples(plmaps(domain=d), interval_sets_in(d.lo, d.hi)))
 
 
 @st.composite

@@ -350,6 +350,18 @@ class TestExitCodes:
         )
         assert code == 0 and doc["budget"]["source"] == "flag"
 
+    @pytest.mark.parametrize("flag,env,detail", [
+        (["--budget", "-3"], None, "--budget must be a positive integer, got -3"),
+        ([], "0", "NADYN_BUDGET must be a positive integer, got '0'"),
+    ])
+    def test_bad_budget_names_its_source(self, capsys, monkeypatch, flag, env, detail):
+        monkeypatch.delenv("NADYN_BUDGET", raising=False)
+        if env is not None:
+            monkeypatch.setenv("NADYN_BUDGET", env)
+        code, doc, err = run_cli(capsys, "eval", "--system", "tent", "--x", "0", *flag)
+        assert code == 2 and doc is None
+        assert err == {"command": "eval", "error": "malformed_input", "detail": detail}
+
     def test_malformed_set_argument(self, capsys):
         code, _, err = run_cli(
             capsys, "image", "--system", "tent", "--set", "[0,0.5]", "--n", "1"

@@ -86,8 +86,16 @@ class TestCanonicalize:
         assert got == iset("[0,1]")
 
     def test_noncanonical_direct_construction_rejected(self):
-        with pytest.raises(MalformedInterval):
-            IntervalSet((Interval.parse("[0,1/2]"), Interval.parse("[1/4,1]")))
+        for texts, why in [
+            (("[0,1/2]", "[1/4,1]"), "overlap or touch"),
+            (("[0,1/2)", "[1/2,1]"), "overlap or touch"),
+            (("[0,1/2]", "(1/2,1]"), "overlap or touch"),
+            (("[3/4,1]", "[0,1/4]"), "not sorted"),
+            (("(1/2,1)", "(0,1/2)"), "not sorted"),
+        ]:
+            with pytest.raises(MalformedInterval, match=why):
+                IntervalSet(tuple(Interval.parse(t) for t in texts))
+        assert IntervalSet((Interval.parse("(0,1/2)"), Interval.parse("(1/2,1)"))).den == 2
 
 
 class TestSetOps:

@@ -28,7 +28,7 @@ from nadyn import (
     transitivity_verdict,
     weakmix_verdict,
 )
-from randgen import UNIT, interval_sets_in, intervals_in, plmaps, schedules
+from randgen import UNIT, interval_sets_in, intervals_in, maps_with_sets, plmaps, schedules
 
 TENT = bundled_example("tent")
 DOUBLING = bundled_example("doubling")
@@ -180,6 +180,19 @@ class TestPreimages:
         assert m.preimage_set(iset("[1/4,3/4]")) == iset("[0,1]")
         assert m.preimage_set(iset("[3/4,1]")).is_empty
 
+    def test_a_round_trip_through_finer_lattices_lands_on_the_least_den(self):
+        # slope 3/2 takes [1/4,1/2] (den 4) to [3/8,3/4] (den 8); its inverse
+        # works over den 24, and the result must come back as the same set
+        m = make_plmap(UNIT, [(Interval(0, F(2, 3)), F(3, 2), 0),
+                              (Interval(F(2, 3), 1, lo_open=True), -3, 3)])
+        s = iset("[1/4,1/2]")
+        img = m.image_set(s)
+        assert img == iset("[3/8,3/4]") and img.den == 8
+        back = m.preimage_set(img).intersect(iset("[0,2/3]"))
+        assert back == s and hash(back) == hash(s) and back.den == s.den == 4
+        halves = IntervalSet.parse(["[0,1/3)", "[1/3,2/3]"]).union(iset("(2/3,1]"))
+        assert halves == iset("[0,1]") and hash(halves) == hash(iset("[0,1]")) and halves.den == 1
+
 
 class TestPrefixOps:
     def test_prefix_image_tent(self):
@@ -269,21 +282,27 @@ def test_galois_containments(m, a, b):
     assert m.image_set(m.preimage_set(b)).subset_of(b)
 
 
-@given(plmaps(), interval_sets_in())
-def test_preimage_agrees_with_pointwise_evaluation(m, b):
+# negative, non-dyadic ends: set keys go below zero and lattices mix denominators
+_DOMAINS = (UNIT, Interval(F(-3, 2), F(1, 3)))
+
+
+@given(maps_with_sets(_DOMAINS))
+def test_preimage_agrees_with_pointwise_evaluation(case):
     # independent route: x lies in the preimage iff its exact orbit value
     # lies in b, checked on a grid finer than every endpoint involved
+    m, b = case
     pre = m.preimage_set(b)
     for k in range(0, 129):
-        x = F(k, 128)
+        x = m.domain.lo + (m.domain.hi - m.domain.lo) * F(k, 128)
         assert pre.contains_point(x) == b.contains_point(m.eval_point(x))
 
 
-@given(plmaps(), interval_sets_in())
-def test_image_membership_of_evaluated_points(m, a):
+@given(maps_with_sets(_DOMAINS))
+def test_image_membership_of_evaluated_points(case):
+    m, a = case
     img = m.image_set(a)
     for k in range(0, 65):
-        x = F(k, 64)
+        x = m.domain.lo + (m.domain.hi - m.domain.lo) * F(k, 64)
         if a.contains_point(x):
             assert img.contains_point(m.eval_point(x))
 

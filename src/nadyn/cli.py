@@ -4,6 +4,13 @@ Every report echoes the fully resolved request -- system, parameters,
 defaults, budget, and the index conventions (hitting times start at 1,
 correlation lags at 0) -- so a report is interpretable on its own.
 
+`main` alone builds a report: it resolves the budget, loads the system the
+request names (`--system`, or the bundled system of a `verify` scenario),
+and writes command, tool_version, index_base, budget, system, parameters,
+result in that order.  A handler takes ``(args, system, budget)``, with
+``system`` None when the request names none, and returns
+``(parameters, result)``.
+
 Exit codes: 0 completed analysis (INCONCLUSIVE and not-extractable
 verdicts included), 1 a `verify` scenario with a failed check, 2 malformed
 input, 3 part budget exceeded, 4 unknown command or example name.
@@ -24,9 +31,10 @@ from .errors import (
     MalformedInput,
     NotExtractable,
     NotInvariant,
+    OutOfDomain,
     UnknownExample,
 )
-from .intervals import IntervalSet, format_rational, parse_rational
+from .intervals import IntervalSet, format_rational as _fr, parse_rational
 from .mixing import (
     DEFAULT_THRESHOLDS,
     ExceptionalSetReport,
@@ -47,6 +55,7 @@ from .plmaps import (
     prefix_preimage,
 )
 from .sysio import (
+    decode_json,
     parse_mc_system_file,
     parse_set_argument,
     parse_system_file,
@@ -114,20 +123,16 @@ def _open(path: str, mode: str, **kwargs):
         raise MalformedInput(f"cannot open {path!r}: {e.strerror}") from None
 
 
-def _maybe_at_file(text: str) -> str:
-    if text.startswith("@"):
-        with _open(text[1:], "r") as fh:
-            return fh.read()
-    return text
-
-
 def _json_list(text: str, item, kind: str = "") -> list:
     """A JSON list, inline or @file, with ``item`` applied to each entry."""
+    if text.startswith("@"):
+        with _open(text[1:], "r") as fh:
+            text = fh.read()
     expected = f"expected a JSON list{kind}"
     try:
-        loaded = json.loads(_maybe_at_file(text))
-    except json.JSONDecodeError as e:
-        raise MalformedInput(f"{expected}: {e}")
+        loaded = decode_json(text)
+    except MalformedInput as e:
+        raise MalformedInput(f"{expected}: {e}") from None
     if not isinstance(loaded, list):
         raise MalformedInput(expected)
     return [item(x) for x in loaded]
@@ -143,9 +148,6 @@ def _int_item(x) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise MalformedInput("expected a JSON list of integers")
     return x
-
-
-_fr = format_rational
 
 
 def _verdict_json(v: Verdict, sch: Schedule) -> dict:
@@ -231,45 +233,36 @@ def _extraction_json(rep: ExceptionalSetReport) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# command handlers -- each takes (args, budget), returns (report, exit_code)
+# command handlers: (args, system, budget) -> (parameters, result)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_eval(args, budget: PropagationBudget) -> tuple[dict, int]:
-    sch, sysdoc = _load_system(args.system)
+def _cmd_eval(args, sch: Schedule, budget: PropagationBudget) -> tuple[dict, dict]:
     x = parse_rational(args.x)
     if args.n < 0:
         raise MalformedInput("n must be >= 0")
+    if not sch.domain.contains(x):  # checked here too, for zero steps
+        raise OutOfDomain(f"{x} is not in the domain {sch.domain}")
     value = x
     for i in range(args.n):
         value = sch.map_at(i).eval_point(value)
-    return {
-        "system": sysdoc,
-        "parameters": {"x": _fr(x), "n": args.n},
-        "result": {"value": _fr(value)},
-    }, 0
+    return {"x": _fr(x), "n": args.n}, {"value": _fr(value)}
 
 
-def _cmd_image(args, budget: PropagationBudget) -> tuple[dict, int]:
+def _cmd_image(args, sch: Schedule, budget: PropagationBudget) -> tuple[dict, dict]:
     """image and preimage; the result key is the command name."""
-    sch, sysdoc = _load_system(args.system)
     s = parse_set_argument(args.set)
     walk = prefix_image if args.command == "image" else prefix_preimage
     out = walk(sch, s, args.n, budget)
-    return {
-        "system": sysdoc,
-        "parameters": {"set": s.to_json(), "n": args.n},
-        "result": {args.command: out.to_json(), "measure": _fr(out.measure())},
-    }, 0
+    return ({"set": s.to_json(), "n": args.n},
+            {args.command: out.to_json(), "measure": _fr(out.measure())})
 
 
-def _series_from_args(args, budget: PropagationBudget):
-    sch, sysdoc = _load_system(args.system)
+def _series_from_args(args, sch: Schedule, budget: PropagationBudget):
     a = parse_set_argument(args.A)
     b = parse_set_argument(args.B)
     series = correlation_series(sch, a, b, args.N, budget)
-    params = {"A": a.to_json(), "B": b.to_json(), "N": args.N}
-    return sysdoc, series, params
+    return series, {"A": a.to_json(), "B": b.to_json(), "N": args.N}
 
 
 def _series_json(series) -> dict:
@@ -284,8 +277,8 @@ def _series_json(series) -> dict:
     }
 
 
-def _cmd_correlate(args, budget: PropagationBudget) -> tuple[dict, int]:
-    sysdoc, series, params = _series_from_args(args, budget)
+def _cmd_correlate(args, sch: Schedule, budget: PropagationBudget) -> tuple[dict, dict]:
+    series, params = _series_from_args(args, sch, budget)
     if args.csv:
         with _open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -293,86 +286,70 @@ def _cmd_correlate(args, budget: PropagationBudget) -> tuple[dict, int]:
             for i, (v, d) in enumerate(zip(series.values, series.deviations)):
                 writer.writerow([i, _fr(v), _fr(d)])
         params["csv"] = args.csv
-    return {"system": sysdoc, "parameters": params, "result": _series_json(series)}, 0
+    return params, _series_json(series)
 
 
-def _cmd_cesaro(args, budget: PropagationBudget) -> tuple[dict, int]:
-    sysdoc, series, params = _series_from_args(args, budget)
+def _cmd_cesaro(args, sch: Schedule, budget: PropagationBudget) -> tuple[dict, dict]:
+    series, params = _series_from_args(args, sch, budget)
     n = args.n if args.n is not None else args.N
     params["n"] = n
     value = cesaro_deviation(series, n)
-    return {
-        "system": sysdoc,
-        "parameters": params,
-        "result": {
-            "cesaro_deviation": _fr(value),
-            "prefix_averages": [
-                _fr(cesaro_deviation(series, k)) for k in range(1, series.horizon + 1)
-            ],
-            "series": _series_json(series),
-        },
-    }, 0
+    return params, {
+        "cesaro_deviation": _fr(value),
+        "prefix_averages": [
+            _fr(cesaro_deviation(series, k)) for k in range(1, series.horizon + 1)
+        ],
+        "series": _series_json(series),
+    }
 
 
-def _cmd_density(args, budget: PropagationBudget) -> tuple[dict, int]:
+def _cmd_density(args, _system, budget: PropagationBudget) -> tuple[dict, dict]:
     members = _json_list(args.members, _int_item, " of integers")
     s = IndexSet(args.horizon, tuple(members))
     stats = density_stats(s, args.tail_start)
     return {
-        "parameters": {
-            "horizon": args.horizon,
-            "tail_start": args.tail_start,
-            "member_count": len(s.members),
-        },
-        "result": {
-            "upper": _fr(stats.upper),
-            "lower": _fr(stats.lower),
-            "note": "finite-horizon proxies over n in [tail_start, horizon], not limits",
-        },
-    }, 0
+        "horizon": args.horizon,
+        "tail_start": args.tail_start,
+        "member_count": len(s.members),
+    }, {
+        "upper": _fr(stats.upper),
+        "lower": _fr(stats.lower),
+        "note": "finite-horizon proxies over n in [tail_start, horizon], not limits",
+    }
 
 
-def _cmd_kvn(args, budget: PropagationBudget) -> tuple[dict, int]:
-    thresholds = (
-        tuple(_json_list(args.thresholds, _exact_item))
-        if args.thresholds
-        else DEFAULT_THRESHOLDS
-    )
+def _cmd_kvn(args, sch: Schedule | None, budget: PropagationBudget) -> tuple[dict, dict]:
+    thresholds = DEFAULT_THRESHOLDS
+    if args.thresholds:
+        thresholds = tuple(_json_list(args.thresholds, _exact_item))
     params: dict = {"thresholds": [_fr(t) for t in thresholds]}
-    doc: dict = {"parameters": params}
     if args.values is not None:
         values = _json_list(args.values, _exact_item)
         params["values_count"] = len(values)
-    elif args.system is not None:
+    elif sch is not None:
         if args.A is None or args.B is None or args.N is None:
             raise MalformedInput("kvn with --system needs --A, --B and --N")
-        sysdoc, series, sparams = _series_from_args(args, budget)
+        series, sparams = _series_from_args(args, sch, budget)
         values = list(series.deviations)
         params.update(sparams)
-        doc["system"] = sysdoc
     else:
         raise MalformedInput("kvn needs either --values or --system/--A/--B/--N")
     try:
-        doc["result"] = _extraction_json(extract_exceptional_set(values, thresholds))
+        return params, _extraction_json(extract_exceptional_set(values, thresholds))
     except NotExtractable as e:
-        doc["result"] = {
+        return params, {
             "kind": "NOT_EXTRACTABLE",
             "detail": str(e),
             "threshold_index": e.threshold_index,
         }
-    return doc, 0
 
 
-def _cmd_hitting(args, budget: PropagationBudget) -> tuple[dict, int]:
-    sch, sysdoc = _load_system(args.system)
+def _cmd_hitting(args, sch: Schedule, budget: PropagationBudget) -> tuple[dict, dict]:
     u = parse_set_argument(args.U)
     v = parse_set_argument(args.V)
     hs = hitting_set(sch, u, v, args.H, budget)
-    return {
-        "system": sysdoc,
-        "parameters": {"U": u.to_json(), "V": v.to_json(), "H": args.H},
-        "result": {"hitting_times": list(hs.members), "empty": hs.is_empty},
-    }, 0
+    return ({"U": u.to_json(), "V": v.to_json(), "H": args.H},
+            {"hitting_times": list(hs.members), "empty": hs.is_empty})
 
 
 _VERDICTS = {
@@ -382,31 +359,21 @@ _VERDICTS = {
 }
 
 
-def _cmd_verdict(args, budget: PropagationBudget) -> tuple[dict, int]:
-    sch, sysdoc = _load_system(args.system)
+def _cmd_verdict(args, sch: Schedule, budget: PropagationBudget) -> tuple[dict, dict]:
     g = parse_rational(args.grid)
     verdict = _VERDICTS[args.command](sch, g, args.H, budget)
-    return {
-        "system": sysdoc,
-        "parameters": {"grid": _fr(g), "H": args.H},
-        "result": _verdict_json(verdict, sch),
-    }, 0
+    return {"grid": _fr(g), "H": args.H}, _verdict_json(verdict, sch)
 
 
-def _cmd_sensitivity(args, budget: PropagationBudget) -> tuple[dict, int]:
-    sch, sysdoc = _load_system(args.system)
+def _cmd_sensitivity(args, sch: Schedule, budget: PropagationBudget) -> tuple[dict, dict]:
     delta = parse_rational(args.delta)
     scale = parse_rational(args.scale)
     res = sensitivity_certificate(sch, delta, scale, args.H, budget)
-    return {
-        "system": sysdoc,
-        "parameters": {"delta": _fr(delta), "scale": _fr(scale), "H": args.H},
-        "result": _sensitivity_json(res),
-    }, 0
+    return ({"delta": _fr(delta), "scale": _fr(scale), "H": args.H},
+            _sensitivity_json(res))
 
 
-def _cmd_mc(args, budget: PropagationBudget) -> tuple[dict, int]:
-    fs, sysdoc = _load_system(args.system, estimate=True)
+def _cmd_mc(args, fs: FloatSchedule, budget: PropagationBudget) -> tuple[dict, dict]:
     cfg = SampleConfig(sample_count=args.samples, seed=args.seed)
     params = {"n": args.n, "samples": args.samples, "seed": args.seed}
     if args.x is not None:
@@ -423,8 +390,8 @@ def _cmd_mc(args, budget: PropagationBudget) -> tuple[dict, int]:
         estimate, stderr = mc_correlation(fs, a, b, args.n, cfg)
         params.update({"mode": "correlation", "A": a.to_json(), "B": b.to_json()})
         result = {"estimate": estimate, "stderr": stderr}
-    result["estimate_only"] = sysdoc["estimate_only"]
-    return {"system": sysdoc, "parameters": params, "result": result}, 0
+    result["estimate_only"] = fs.estimate_only
+    return params, result
 
 
 # verify checks: each reads (system, parameters, budget), returns one "checks" entry
@@ -478,21 +445,10 @@ SCENARIOS = {
 }
 
 
-def _cmd_verify(args, budget: PropagationBudget) -> tuple[dict, int]:
-    if args.name not in SCENARIOS:
-        raise UnknownExample(
-            f"no bundled verification scenario named {args.name!r}; "
-            f"choose {' or '.join(SCENARIOS)}"
-        )
+def _cmd_verify(args, sch: Schedule, budget: PropagationBudget) -> tuple[dict, dict]:
     params, checks = SCENARIOS[args.name]
-    sch, sysdoc = _load_system(args.name)
     results = [check(sch, params, budget) for check in checks]
-    passed = all(c["passed"] for c in results)
-    return {
-        "system": sysdoc,
-        "parameters": params,
-        "result": {"passed": passed, "checks": results},
-    }, 0 if passed else 1
+    return params, {"passed": all(c["passed"] for c in results), "checks": results}
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +523,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser(command: str) -> argparse.ArgumentParser:
     p = _Parser(prog=f"nadyn {command}")
-    p.set_defaults(command=command)
+    p.set_defaults(command=command, system=None)
     for flags, kwargs in COMMANDS[command][1] + _COMMON:
         p.add_argument(*flags, **kwargs)
     return p
@@ -597,14 +553,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser(command).parse_args(rest)
         budget, budget_source = _resolve_budget(args.budget)
-        doc, exit_code = COMMANDS[command][0](args, budget)
         doc = {
             "command": command,
             "tool_version": __version__,
             "index_base": INDEX_BASE,
             "budget": {"max_parts": budget.max_parts, "source": budget_source},
-            **doc,
         }
+        if command == "verify" and args.name not in SCENARIOS:
+            raise UnknownExample(f"no bundled verification scenario named {args.name!r}; "
+                                 f"choose {' or '.join(SCENARIOS)}")
+        source = args.name if command == "verify" else args.system
+        system = None
+        if source is not None:
+            system, doc["system"] = _load_system(source, estimate=command == "mc")
+        doc["parameters"], doc["result"] = COMMANDS[command][0](args, system, budget)
         _emit(doc, args.out)
     except (MalformedInput, ValueError) as e:
         _diagnostic(command, "malformed_input", e)
@@ -616,7 +578,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnknownExample as e:
         _diagnostic(command, "unknown_example", e)
         return 4
-    return exit_code
+    return 1 if command == "verify" and not doc["result"]["passed"] else 0
 
 
 def _diagnostic(

@@ -102,8 +102,7 @@ class PLMap:
 
     def image_set(self, s: IntervalSet) -> IntervalSet:
         """Exact forward image of a subset of the domain."""
-        if not s.within(self.domain):
-            raise OutOfDomain(f"set {s} is not contained in the domain {self.domain}")
+        _check_within(s, self.domain)
         return piecewise_affine(s, self._forward)
 
     def preimage_set(self, s: IntervalSet) -> IntervalSet:
@@ -203,12 +202,18 @@ def propagate(
         yield s
 
 
+def _check_within(s: IntervalSet, domain: Interval) -> None:
+    if not s.within(domain):
+        raise OutOfDomain(f"set {s} is not contained in the domain {domain}")
+
+
 def prefix_image(
     sch: Schedule, s: IntervalSet, n: int, budget: PropagationBudget = DEFAULT_BUDGET
 ) -> IntervalSet:
-    """Image of s under the first n maps; n = 0 returns s unchanged."""
+    """Image of s under the first n maps; s must lie in the domain, also for n = 0."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    _check_within(s, sch.domain)
     for s in propagate(sch, s, range(n), budget):
         pass
     return s
@@ -217,9 +222,10 @@ def prefix_image(
 def prefix_preimage(
     sch: Schedule, s: IntervalSet, n: int, budget: PropagationBudget = DEFAULT_BUDGET
 ) -> IntervalSet:
-    """Preimage of s under the composition of the first n maps."""
+    """Preimage of s under the composition of the first n maps; n = 0 gives s ∩ domain."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    s = s.intersect(IntervalSet([sch.domain]))
     for s in propagate(sch, s, reversed(range(n)), budget, inverse=True):
         pass
     return s

@@ -38,6 +38,16 @@ from .plmaps import PLMap, Piece, Schedule
 # -- text forms -------------------------------------------------------------
 
 
+def decode_json(text: str) -> Any:
+    """``json.loads`` that fails only with MalformedInput, nesting too deep included."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise MalformedInput(str(e)) from None
+    except RecursionError:  # the decoder recurses once per level of nesting
+        raise MalformedInput("nested too deeply to decode") from None
+
+
 def parse_set_argument(text: str) -> IntervalSet:
     """Parse a CLI set argument: one interval literal or a JSON array.
 
@@ -47,8 +57,8 @@ def parse_set_argument(text: str) -> IntervalSet:
         return IntervalSet.parse(text)
     except MalformedInput:
         try:
-            loaded = json.loads(text)
-        except json.JSONDecodeError:
+            loaded = decode_json(text)
+        except MalformedInput:
             loaded = None
         # "[0,0.5]" is also JSON, but numbers are no set: keep the literal's
         # error, which carries the exact-form hint
@@ -83,8 +93,7 @@ def schedule_to_dict(sch: Schedule) -> dict:
 
 def _reject_floats(node: Any, path: str) -> None:
     if isinstance(node, float):
-        exact = Fraction(str(node)) if node == node else None
-        hint = f'; write "{format_rational(exact)}"' if exact is not None else ""
+        hint = f'; write "{format_rational(Fraction(str(node)))}"' if math.isfinite(node) else ""
         raise MalformedSystemFile(
             f"float literal {node!r} not accepted{hint}", field=path
         )
@@ -199,12 +208,12 @@ def _load_json(path: str) -> Any:
     """The parsed JSON document of a system file; any failure is malformed input."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return decode_json(fh.read())
     except FileNotFoundError:
         raise MalformedSystemFile("file not found", path=path) from None
     except OSError as e:  # a directory, no permission, ...
         raise MalformedSystemFile(f"cannot read the file: {e.strerror}", path=path) from None
-    except json.JSONDecodeError as e:
+    except MalformedInput as e:
         raise MalformedSystemFile(f"invalid JSON: {e}", path=path) from None
 
 

@@ -117,6 +117,13 @@ class TestCommands:
         assert code == 0
         assert doc["result"]["preimage"] == ["[0,1/8]", "[3/8,5/8]", "[7/8,1]"]
 
+    def test_zero_step_preimage_is_the_part_in_the_domain(self, capsys):
+        code, doc, _ = run_cli(
+            capsys, "preimage", "--system", "tent", "--set", "[1/2,3]", "--n", "0"
+        )
+        assert code == 0 and doc["parameters"]["set"] == ["[1/2,3]"]
+        assert doc["result"] == {"preimage": ["[1/2,1]"], "measure": "1/2"}
+
     def test_integer_endpoint_interval_is_a_set_not_a_list(self, capsys):
         # "[0,1]" also parses as a JSON list of two numbers
         code, doc, _ = run_cli(
@@ -306,6 +313,14 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "eval", "--system", "lorenz", "--x", "0")
         assert code == 4 and err["error"] == "unknown_example"
 
+    def test_kvn_loads_a_given_system_even_with_values(self, tmp_path, capsys):
+        values = ["kvn", "--values", '["1","0"]']
+        code, _, err = run_cli(capsys, *values, "--system", "lorenz")
+        assert code == 4 and err["error"] == "unknown_example"
+        missing = tmp_path / "missing.json"
+        code, _, err = run_cli(capsys, *values, "--system", str(missing))
+        assert code == 2 and str(missing) in err["detail"]
+
     def test_unknown_verify_scenario(self, capsys):
         code, _, err = run_cli(capsys, "verify", "henon")
         assert code == 4
@@ -319,6 +334,12 @@ class TestExitCodes:
          "cell width 2/5 does not divide the domain length 1"),
         (["cesaro", "--system", "tent", "--A", "[0,1/2]", "--B", "[0,1/2]",
           "--N", "4", "--n", "5"], "n = 5 exceeds the series horizon 4"),
+        # zero steps keep the domain rule of one step
+        (["eval", "--system", "tent", "--x", "5", "--n", "0"], "5 is not in the domain [0,1]"),
+        (["image", "--system", "tent", "--set", "[2,3]", "--n", "0"],
+         "set [2,3] is not contained in the domain [0,1]"),
+        (["image", "--system", "tent", "--set", "[2,3]", "--n", "1"],
+         "set [2,3] is not contained in the domain [0,1]"),
     ])
     def test_requests_that_do_not_fit_the_system_exit_2(self, capsys, argv, detail):
         code = main(argv)
@@ -483,6 +504,42 @@ class TestSystemFileErrors:
         assert strict_json(captured.err)["error"] == "malformed_input"
 
 
+DEEP = "[" * 5000 + "]" * 5000  # deeper than the JSON decoder can recurse
+
+
+class TestDeeplyNestedJson:
+    @pytest.mark.parametrize("argv,detail", [
+        (["image", "--system", "tent", "--set", DEEP, "--n", "1"],
+         f'cannot parse "{DEEP}" as an interval literal'),
+        (["kvn", "--values", DEEP], "expected a JSON list: {too_deep}"),
+        (["kvn", "--values", "@{deep}"], "expected a JSON list: {too_deep}"),
+        (["density", "--members", DEEP, "--horizon", "3", "--tail-start", "1"],
+         "expected a JSON list of integers: {too_deep}"),
+        (["eval", "--system", "{system}", "--x", "0"], "{system}: invalid JSON: {too_deep}"),
+        (["mc", "--system", "{system}", "--x", "0.3", "--epsilon", "0.01", "--n", "4",
+          "--samples", "10"], "{system}: invalid JSON: {too_deep}"),
+    ], ids=["set", "values", "values_file", "members", "eval_system_file", "mc_system_file"])
+    def test_is_malformed_input_at_every_entry_point(self, tmp_path, capsys, argv, detail):
+        deep, system = tmp_path / "deep.json", tmp_path / "system.json"
+        deep.write_text(DEEP)
+        system.write_text('{"domain": "[0,1]", "cycle": [%s]}' % DEEP)
+        names = {"deep": deep, "system": system, "too_deep": "nested too deeply to decode"}
+        code = main([a.format(**names) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert strict_json(captured.err) == {
+            "command": argv[0], "error": "malformed_input", "detail": detail.format(**names),
+        }
+
+    def test_a_recursion_error_from_a_program_fault_still_surfaces(self, monkeypatch):
+        def fault(*args):
+            raise RecursionError("a fault, not an input")
+
+        monkeypatch.setattr(cli, "hitting_set", fault)
+        with pytest.raises(RecursionError):
+            main(["hitting", "--system", "tent", "--U", "(0,1/4)", "--V", "(3/4,1)", "--H", "2"])
+
+
 PL_IDENTITY = {"pieces": [{"on": "[0,1]", "slope": "1", "intercept": "0"}]}
 
 MALFORMED_FILES = {
@@ -510,6 +567,11 @@ MALFORMED_FILES = {
         {"domain": "[0,1]",
          "cycle": [{"pieces": [{"on": "[0,1]", "slope": 0.5, "intercept": "0"}]}]},
         'cycle[0].pieces[0].slope: float literal 0.5 not accepted; write "1/2"',
+    ),
+    "non_finite_slope": (  # 1e400 is beyond a double: it decodes to inf
+        {"domain": "[0,1]",
+         "cycle": [{"pieces": [{"on": "[0,1]", "slope": 1e400, "intercept": "0"}]}]},
+        "cycle[0].pieces[0].slope: float literal inf not accepted",
     ),
 }
 
@@ -567,6 +629,9 @@ README_REPORT_SHA256 = json.loads(
 )
 
 
+ENVELOPE = ["command", "tool_version", "index_base", "budget", "system", "parameters", "result"]
+
+
 class TestCommandTable:
     def test_readme_examples_run(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)  # --csv writes next to the caller
@@ -578,7 +643,11 @@ class TestCommandTable:
             code = main(argv)
             captured = capsys.readouterr()
             assert code == 0, (argv, captured.err)
-            assert strict_json(captured.out)["command"] == argv[0]
+            report = strict_json(captured.out)
+            assert report["command"] == argv[0]
+            # one envelope, in one order; a system is reported iff the request names one
+            has_system = "--system" in argv or argv[0] == "verify"
+            assert list(report) == [k for k in ENVELOPE if k != "system" or has_system], argv
             digest = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
             assert digest == README_REPORT_SHA256[shlex.join(["nadyn", *argv])], argv
 

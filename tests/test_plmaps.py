@@ -212,6 +212,18 @@ class TestPrefixOps:
     def test_prefix_preimage_zero_steps(self):
         assert prefix_preimage(TENT, iset("[0,1/2]"), 0) == iset("[0,1/2]")
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_prefix_image_outside_the_domain_for_any_step_count(self, n):
+        with pytest.raises(OutOfDomain, match=r"set \[2,3\] is not contained in the domain \[0,1\]"):
+            prefix_image(TENT, iset("[2,3]"), n)
+
+    def test_prefix_preimage_zero_steps_keeps_only_the_domain_part(self):
+        got = prefix_preimage(TENT, iset("[1/2,3]"), 0)
+        assert got == iset("[1/2,1]") and got.measure() == F(1, 2)
+        # every longer chain already ignores the part outside the domain
+        assert prefix_preimage(TENT, iset("[1/2,3]"), 2) == prefix_preimage(
+            TENT, iset("[1/2,1]"), 2)
+
     def test_prefix_preimage_full_set(self):
         assert prefix_preimage(TENT, iset("[0,1]"), 10) == iset("[0,1]")
 

@@ -1,15 +1,15 @@
-"""Command-line surface: one analysis per invocation, JSON report out.
+"""Command-line surface: one analysis per invocation, one JSON line out.
 
 Every report echoes the fully resolved request -- system, parameters,
 defaults, budget, and the index conventions (hitting times start at 1,
-correlation lags at 0) -- so a report is interpretable on its own.
+correlation lags at 0) -- so a report is interpretable on its own.  Reports
+and diagnostics are one line of compact strict JSON, from json's C encoder.
 
 `main` alone builds a report: it resolves the budget, loads the system the
-request names (`--system`, or the bundled system of a `verify` scenario),
-and writes command, tool_version, index_base, budget, system, parameters,
-result in that order.  A handler takes ``(args, system, budget)``, with
-``system`` None when the request names none, and returns
-``(parameters, result)``.
+request names (`--system`, or a `verify` scenario's bundled system), and
+writes command, tool_version, index_base, budget, system, parameters, result
+in that order.  A handler takes ``(args, system, budget)``, with ``system``
+None when the request names none, and returns ``(parameters, result)``.
 
 Exit codes: 0 completed analysis (INCONCLUSIVE and not-extractable
 verdicts included), 1 a `verify` scenario with a failed check, 2 malformed
@@ -161,18 +161,15 @@ def _verdict_json(v: Verdict, sch: Schedule) -> dict:
         doc["tail"] = v.tail
     if v.grid is not None:
         cells = [str(c.parts[0]) for c in open_grid(sch.domain, v.grid)]
-
-        def pair(p):
-            return [cells[p[0]], cells[p[1]]]
-
         if v.property_name == "weak_mixing":
+            # one list per cell pair, shared by every row that names it
+            pairs = {(u, w): [cu, cw] for u, cu in enumerate(cells)
+                     for w, cw in enumerate(cells)}
             doc["witnesses"] = [
-                {"pair1": pair(w[0][0]), "pair2": pair(w[0][1]), "n": w[1]}
-                for w in v.witnesses
+                {"pair1": pairs[p1], "pair2": pairs[p2], "n": n}
+                for (p1, p2), n in v.witnesses
             ]
-            doc["unhit"] = [
-                {"pair1": pair(p[0]), "pair2": pair(p[1])} for p in v.unhit
-            ]
+            doc["unhit"] = [{"pair1": pairs[p1], "pair2": pairs[p2]} for p1, p2 in v.unhit]
         else:
             key = "tail_start" if v.property_name == "mixing" else "n"
             doc["witnesses"] = [
@@ -529,8 +526,13 @@ def _build_parser(command: str) -> argparse.ArgumentParser:
     return p
 
 
+def _json_text(doc: dict) -> str:
+    """One line of compact strict JSON (no NaN), written by json's C encoder."""
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False)
+
+
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, allow_nan=False)  # NaN is not JSON
+    text = _json_text(doc)
     if out:
         with _open(out, "w") as fh:
             fh.write(text + "\n")
@@ -573,7 +575,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BudgetExceeded as e:
         _diagnostic(command, "budget_exceeded", e,
-                    extra={"step": e.step, "parts": e.parts, "max_parts": e.max_parts})
+                    step=e.step, parts=e.parts, max_parts=e.max_parts)
         return 3
     except UnknownExample as e:
         _diagnostic(command, "unknown_example", e)
@@ -581,13 +583,9 @@ def main(argv: list[str] | None = None) -> int:
     return 1 if command == "verify" and not doc["result"]["passed"] else 0
 
 
-def _diagnostic(
-    command: str, kind: str, err: Exception | str, extra: dict | None = None
-) -> None:
-    doc = {"command": command, "error": kind, "detail": str(err)}
-    if extra:
-        doc.update(extra)
-    print(json.dumps(doc, indent=2, allow_nan=False), file=sys.stderr)
+def _diagnostic(command: str, kind: str, err: Exception | str, **extra) -> None:
+    doc = {"command": command, "error": kind, "detail": str(err), **extra}
+    print(_json_text(doc), file=sys.stderr)
 
 
 if __name__ == "__main__":

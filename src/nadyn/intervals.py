@@ -42,6 +42,11 @@ _INTERVAL_RE = re.compile(
 )
 
 
+def _quoted(text: str) -> str:
+    """``text`` quoted for a diagnostic; past 60 characters, cut to 60, ``…`` and the length."""
+    return f'"{text}"' if len(text) <= 60 else f'"{text[:60]}…" ({len(text)} characters)'
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` or an integer string into an exact rational.
 
@@ -53,14 +58,14 @@ def parse_rational(text: str) -> Fraction:
         if _DECIMAL_RE.match(s):
             exact = Fraction(s)  # decimal strings convert exactly
             raise MalformedRational(
-                f'float literal "{s}" not accepted; write the exact rational '
-                f'"{format_rational(exact)}"'
+                f"float literal {_quoted(s)} not accepted; write the exact rational "
+                f"{_quoted(format_rational(exact))}"
             )
-        raise MalformedRational(f'cannot parse "{text}" as a rational "p/q"')
+        raise MalformedRational(f'cannot parse {_quoted(text)} as a rational "p/q"')
     try:
         value = Fraction(s)
     except ZeroDivisionError:
-        raise MalformedRational(f'zero denominator in "{text}"') from None
+        raise MalformedRational(f"zero denominator in {_quoted(text)}") from None
     return value
 
 
@@ -125,7 +130,7 @@ class Interval:
         """Parse the literal text form, e.g. ``"[0,1/4]"`` or ``"(1,3/2)"``."""
         m = _INTERVAL_RE.match(text.strip())
         if not m:
-            raise MalformedInterval(f'cannot parse "{text}" as an interval literal')
+            raise MalformedInterval(f"cannot parse {_quoted(text)} as an interval literal")
         return cls(
             parse_rational(m.group("lo")),
             parse_rational(m.group("hi")),

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import HorizonExceeded, NotExtractable, OutOfDomain
+from .errors import HorizonExceeded, NotExtractable
 from .intervals import IntervalSet
-from .plmaps import DEFAULT_BUDGET, PropagationBudget, Schedule, propagate
+from .plmaps import DEFAULT_BUDGET, PropagationBudget, Schedule, check_within, propagate
 
 #: Default threshold ladder for exceptional-set extraction: 1/2 .. 1/256.
 DEFAULT_THRESHOLDS = tuple(Fraction(1, 2**k) for k in range(1, 9))
@@ -127,9 +127,8 @@ def correlation_series(
     if n < 1:
         raise ValueError("n must be >= 1")
     dom = sch.domain
-    for name, s in (("A", a), ("B", b)):
-        if not s.within(dom):
-            raise OutOfDomain(f"{name} = {s} is not contained in the domain {dom}")
+    check_within(a, dom, "A =")
+    check_within(b, dom, "B =")
     length = dom.hi - dom.lo
     mu_a = a.measure() / length
     mu_b = b.measure() / length

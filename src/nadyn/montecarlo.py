@@ -12,13 +12,14 @@ Same seed, same estimate: sampling is deterministic given the config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
-from .intervals import IntervalSet
-from .plmaps import PLMap, Schedule
+from .intervals import Interval, IntervalSet
+from .plmaps import PLMap, Schedule, check_within
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,13 +78,23 @@ def _compile_plmap(m: PLMap) -> Callable[[np.ndarray], np.ndarray]:
 
 @dataclass(frozen=True, slots=True)
 class FloatSchedule:
-    """Float-evaluated schedule; the estimate-only twin of Schedule."""
+    """Float-evaluated schedule; the estimate-only twin of Schedule.
+
+    ``domain`` keeps the ends exact, as given, for the set checks; ``lo`` and
+    ``hi`` are their doubles, between which the samples are drawn.
+    """
 
     lo: float
     hi: float
     preamble: tuple[Callable[[np.ndarray], np.ndarray], ...]
     cycle: tuple[Callable[[np.ndarray], np.ndarray], ...]
     estimate_only: bool = False
+    domain: Interval = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "domain", Interval(Fraction(self.lo), Fraction(self.hi)))
+        object.__setattr__(self, "lo", float(self.lo))
+        object.__setattr__(self, "hi", float(self.hi))
 
     @classmethod
     def from_schedule(cls, sch: Schedule) -> "FloatSchedule":
@@ -96,8 +107,8 @@ class FloatSchedule:
         steps = preamble + cycle
         compiled = tuple(_compile_plmap(m) if isinstance(m, PLMap) else m for m in steps)
         return cls(
-            lo=float(lo),
-            hi=float(hi),
+            lo=lo,
+            hi=hi,
             preamble=compiled[: len(preamble)],
             cycle=compiled[len(preamble) :],
             estimate_only=not all(isinstance(m, PLMap) for m in steps),
@@ -141,11 +152,14 @@ def mc_correlation(
     Returns (estimate, stderr) where the estimate is the fraction of
     uniform domain samples that start in A and land in B after n steps,
     an unbiased estimator of the exact normalized value; stderr is the
-    binomial sqrt(p*(1-p)/m).
+    binomial sqrt(p*(1-p)/m).  A and B must lie in the domain, as for
+    ``correlation_series``: OutOfDomain otherwise.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     fs = _as_float_schedule(system)
+    check_within(a, fs.domain, "A =")
+    check_within(b, fs.domain, "B =")
     rng = np.random.default_rng(cfg.seed)
     xs = rng.uniform(fs.lo, fs.hi, cfg.sample_count)
     in_a = _member_mask(a, xs)

@@ -102,7 +102,7 @@ class PLMap:
 
     def image_set(self, s: IntervalSet) -> IntervalSet:
         """Exact forward image of a subset of the domain."""
-        _check_within(s, self.domain)
+        check_within(s, self.domain)
         return piecewise_affine(s, self._forward)
 
     def preimage_set(self, s: IntervalSet) -> IntervalSet:
@@ -202,9 +202,10 @@ def propagate(
         yield s
 
 
-def _check_within(s: IntervalSet, domain: Interval) -> None:
+def check_within(s: IntervalSet, domain: Interval, label: str = "set") -> None:
+    """Raise OutOfDomain unless s lies in the domain; ``label`` names s in the message."""
     if not s.within(domain):
-        raise OutOfDomain(f"set {s} is not contained in the domain {domain}")
+        raise OutOfDomain(f"{label} {s} is not contained in the domain {domain}")
 
 
 def prefix_image(
@@ -213,7 +214,7 @@ def prefix_image(
     """Image of s under the first n maps; s must lie in the domain, also for n = 0."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    _check_within(s, sch.domain)
+    check_within(s, sch.domain)
     for s in propagate(sch, s, range(n), budget):
         pass
     return s

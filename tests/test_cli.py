@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shlex
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,9 @@ from nadyn import (
     OutOfDomain,
     ScaleMismatch,
     bundled_example,
+    open_grid,
     parse_system_file,
+    weakmix_verdict,
     write_system_file,
 )
 from nadyn import cli
@@ -340,6 +343,13 @@ class TestExitCodes:
          "set [2,3] is not contained in the domain [0,1]"),
         (["image", "--system", "tent", "--set", "[2,3]", "--n", "1"],
          "set [2,3] is not contained in the domain [0,1]"),
+        # the estimator keeps the exact engine's rule for A and B
+        (["correlate", "--system", "tent", "--A", "[1/2,3]", "--B", "[0,1]", "--N", "1"],
+         "A = [1/2,3] is not contained in the domain [0,1]"),
+        (["mc", "--system", "tent", "--A", "[1/2,3]", "--B", "[0,1]", "--n", "1",
+          "--samples", "1000"], "A = [1/2,3] is not contained in the domain [0,1]"),
+        (["mc", "--system", "tent", "--A", "[0,1]", "--B", "(1,2]", "--n", "1",
+          "--samples", "1000"], "B = (1,2] is not contained in the domain [0,1]"),
     ])
     def test_requests_that_do_not_fit_the_system_exit_2(self, capsys, argv, detail):
         code = main(argv)
@@ -510,7 +520,7 @@ DEEP = "[" * 5000 + "]" * 5000  # deeper than the JSON decoder can recurse
 class TestDeeplyNestedJson:
     @pytest.mark.parametrize("argv,detail", [
         (["image", "--system", "tent", "--set", DEEP, "--n", "1"],
-         f'cannot parse "{DEEP}" as an interval literal'),
+         'cannot parse "%s…" (10000 characters) as an interval literal' % ("[" * 60)),
         (["kvn", "--values", DEEP], "expected a JSON list: {too_deep}"),
         (["kvn", "--values", "@{deep}"], "expected a JSON list: {too_deep}"),
         (["density", "--members", DEEP, "--horizon", "3", "--tail-start", "1"],
@@ -650,6 +660,55 @@ class TestCommandTable:
             assert list(report) == [k for k in ENVELOPE if k != "system" or has_system], argv
             digest = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
             assert digest == README_REPORT_SHA256[shlex.join(["nadyn", *argv])], argv
+
+    def test_reports_and_diagnostics_are_one_line_of_compact_json(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("NADYN_BUDGET", raising=False)
+
+        def compact(text):
+            return json.dumps(strict_json(text), separators=(",", ":")) + "\n"
+
+        for argv in readme_cli_lines():
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert out == compact(out), argv
+        out = tmp_path / "report.json"
+        assert main(["eval", "--system", "tent", "--x", "1/3", "--out", str(out)]) == 0
+        assert not capsys.readouterr().out
+        assert out.read_text(encoding="utf-8") == compact(out.read_text(encoding="utf-8"))
+        for argv, code in [
+            (["image", "--system", "tent", "--set", "[" * 100, "--n", "1"], 2),
+            (["preimage", "--system", "tent", "--set", "[0,1/2]", "--n", "12",
+              "--budget", "4"], 3),
+            (["verify", "henon"], 4),
+            (["bogus"], 4),
+        ]:
+            assert main(argv) == code
+            captured = capsys.readouterr()
+            assert not captured.out and captured.err == compact(captured.err), argv
+
+    @pytest.mark.parametrize("system,kind", [
+        ("tent", "WITNESSED_UP_TO"), ("example31", "INCONCLUSIVE"),
+    ])
+    def test_weakmix_listings_match_the_library(self, capsys, system, kind):
+        code, doc, _ = run_cli(capsys, "weakmix", "--system", system, "--grid", "1/8",
+                               "--H", "12")
+        sch = bundled_example(system)
+        verdict = weakmix_verdict(sch, F(1, 8), 12)
+        cells = [str(c.parts[0]) for c in open_grid(sch.domain, F(1, 8))]
+        witnesses = [
+            {"pair1": [cells[u1], cells[v1]], "pair2": [cells[u2], cells[v2]], "n": n}
+            for ((u1, v1), (u2, v2)), n in verdict.witnesses
+        ]
+        unhit = [
+            {"pair1": [cells[u1], cells[v1]], "pair2": [cells[u2], cells[v2]]}
+            for (u1, v1), (u2, v2) in verdict.unhit
+        ]
+        assert code == 0 and doc["result"]["kind"] == verdict.kind == kind
+        assert doc["result"]["witnesses"] == witnesses and doc["result"]["unhit"] == unhit
+        assert len(witnesses) + len(unhit) == len(cells) ** 4
 
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_help(self, capsys, command):

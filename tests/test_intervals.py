@@ -42,6 +42,23 @@ class TestRationals:
         for q in (F(0), F(-7, 3), F(4), F(1, 2)):
             assert parse_rational(format_rational(q)) == q
 
+    @pytest.mark.parametrize("parse,text,detail", [
+        (parse_rational, "x" * 10_000,
+         'cannot parse "%s…" (10000 characters) as a rational "p/q"' % ("x" * 60)),
+        (parse_rational, "1/" + "0" * 100,
+         'zero denominator in "1/%s…" (102 characters)' % ("0" * 58)),
+        (parse_rational, "0." + "3" * 100,  # the hint is 33...3/10^100, 202 characters
+         'float literal "0.%s…" (102 characters) not accepted; write the exact rational '
+         '"%s…" (202 characters)' % ("3" * 58, "3" * 60)),
+        (Interval.parse, "(" * 61,
+         'cannot parse "%s…" (61 characters) as an interval literal' % ("(" * 60)),
+        (Interval.parse, "(" * 60, 'cannot parse "%s" as an interval literal' % ("(" * 60)),
+    ], ids=["rational", "zero_denominator", "float_literal", "interval", "interval_at_60"])
+    def test_an_echoed_argument_is_cut_after_60_characters(self, parse, text, detail):
+        with pytest.raises((MalformedRational, MalformedInterval)) as exc:
+            parse(text)
+        assert str(exc.value) == detail
+
 
 class TestIntervalLiterals:
     def test_parse_flags(self):

@@ -11,6 +11,7 @@ from nadyn import (
     FloatSchedule,
     Interval,
     IntervalSet,
+    OutOfDomain,
     QuadraticMap,
     SampleConfig,
     Schedule,
@@ -182,6 +183,28 @@ class TestQuadraticMaps:
 
     def test_exact_schedule_wrapper_not_estimate_only(self):
         assert not FloatSchedule.from_schedule(TENT).estimate_only
+
+
+class TestDomain:
+    LOGISTIC = FloatSchedule.from_steps(0.0, 1.0, (), (QuadraticMap(0.0, 4.0, -4.0),))
+
+    @pytest.mark.parametrize("a,b", [("[1/2,3]", "[0,1]"), ("[0,1]", "(1,2]")], ids=["A", "B"])
+    def test_sets_outside_the_domain_raise_as_for_the_exact_series(self, a, b):
+        a, b = IntervalSet.parse(a), IntervalSet.parse(b)
+        with pytest.raises(OutOfDomain) as exact:
+            correlation_series(TENT, a, b, 2)
+        for system in (TENT, FloatSchedule.from_schedule(TENT), self.LOGISTIC):
+            with pytest.raises(OutOfDomain) as estimated:
+                mc_correlation(system, a, b, 1, SampleConfig(10))
+            assert str(estimated.value) == str(exact.value)
+
+    def test_the_exact_domain_outlives_its_doubles(self):
+        third = Interval(0, F(1, 3))
+        sch = Schedule.constant(make_plmap(third, [(third, 1, 0)]))
+        fs = FloatSchedule.from_schedule(sch)
+        assert fs.domain == third and fs.hi == float(F(1, 3)) < F(1, 3)
+        whole = IntervalSet((third,))
+        assert mc_correlation(fs, whole, whole, 1, SampleConfig(100)) == (1.0, 0.0)
 
 
 def assert_same_orbits(a: FloatSchedule, b: FloatSchedule, n: int = 12) -> None:

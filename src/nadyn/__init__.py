@@ -48,7 +48,6 @@ from .mixing import (
     correlation_series,
     density_stats,
     extract_exceptional_set,
-    extract_mixing_tail,
     intersection_witness,
 )
 from .montecarlo import (

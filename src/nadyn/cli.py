@@ -22,6 +22,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -34,7 +35,7 @@ from .errors import (
     OutOfDomain,
     UnknownExample,
 )
-from .intervals import IntervalSet, format_rational as _fr, parse_rational
+from .intervals import IntervalSet, _quoted, format_rational as _fr, parse_rational
 from .mixing import (
     DEFAULT_THRESHOLDS,
     ExceptionalSetReport,
@@ -107,7 +108,7 @@ def _load_system(source: str, *, estimate: bool = False) -> tuple:
         raise MalformedInput(f"system file {source!r} does not exist")
     else:
         raise UnknownExample(
-            f"unknown system {source!r}: not a bundled example "
+            f"unknown system {_quoted(source)}: not a bundled example "
             f"{list(BUNDLED_EXAMPLE_NAMES)} and no such file"
         )
     if estimate:
@@ -160,7 +161,7 @@ def _verdict_json(v: Verdict, sch: Schedule) -> dict:
     if v.tail is not None:
         doc["tail"] = v.tail
     if v.grid is not None:
-        cells = [str(c.parts[0]) for c in open_grid(sch.domain, v.grid)]
+        cells = [str(c) for c in open_grid(sch.domain, v.grid)]
         if v.property_name == "weak_mixing":
             # one list per cell pair, shared by every row that names it
             pairs = {(u, w): [cu, cw] for u, cu in enumerate(cells)
@@ -457,6 +458,13 @@ def _opt(*flags: str, **kwargs) -> tuple:
     return flags, kwargs
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # argparse's own message would echo all of text
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}") from None
+
+
 def _optional(spec: tuple, **kwargs) -> tuple:
     flags, kw = spec
     return flags, {**kw, "required": False, **kwargs}
@@ -464,31 +472,31 @@ def _optional(spec: tuple, **kwargs) -> tuple:
 
 _SYSTEM = _opt("--system", required=True,
                help="bundled example name or system JSON file path")
-_H = _opt("--H", type=int, required=True)
+_H = _opt("--H", type=_int, required=True)
 _SERIES = (_opt("--A", required=True), _opt("--B", required=True),
-           _opt("--N", type=int, required=True))
-_IMAGE = (_SYSTEM, _opt("--set", required=True), _opt("--n", type=int, required=True))
+           _opt("--N", type=_int, required=True))
+_IMAGE = (_SYSTEM, _opt("--set", required=True), _opt("--n", type=_int, required=True))
 _VERDICT = (_SYSTEM, _opt("--grid", required=True), _H)
 _COMMON = (
-    _opt("--budget", type=int, default=None,
+    _opt("--budget", type=_int, default=None,
          help=f"part budget (default {DEFAULT_BUDGET.max_parts}; env {BUDGET_ENV} overrides)"),
     _opt("--out", default=None, help="write the JSON report here instead of stdout"),
 )
 
 COMMANDS = {
     "eval": (_cmd_eval, (
-        _SYSTEM, _opt("--x", required=True), _opt("--n", type=int, default=1))),
+        _SYSTEM, _opt("--x", required=True), _opt("--n", type=_int, default=1))),
     "image": (_cmd_image, _IMAGE),
     "preimage": (_cmd_image, _IMAGE),
     "correlate": (_cmd_correlate, (
         _SYSTEM, *_SERIES, _opt("--csv", help="write the series to this CSV file"))),
     "cesaro": (_cmd_cesaro, (
         _SYSTEM, *_SERIES,
-        _opt("--n", type=int, default=None, help="average length (default N)"))),
+        _opt("--n", type=_int, default=None, help="average length (default N)"))),
     "density": (_cmd_density, (
         _opt("--members", required=True, help="JSON list of integers, or @file"),
-        _opt("--horizon", type=int, required=True),
-        _opt("--tail-start", dest="tail_start", type=int, required=True))),
+        _opt("--horizon", type=_int, required=True),
+        _opt("--tail-start", dest="tail_start", type=_int, required=True))),
     "kvn": (_cmd_kvn, (
         _optional(_SYSTEM, help="system for deviation-sequence extraction"),
         _opt("--values", help="JSON list of rational strings, or @file"),
@@ -505,9 +513,9 @@ COMMANDS = {
         _SYSTEM, *map(_optional, _SERIES[:2]),
         _opt("--x", help="separation mode: orbit start point (float)"),
         _opt("--epsilon", help="separation mode: neighborhood radius (float)"),
-        _opt("--n", type=int, required=True),
-        _opt("--samples", type=int, default=100_000),
-        _opt("--seed", type=int, default=0))),
+        _opt("--n", type=_int, required=True),
+        _opt("--samples", type=_int, default=100_000),
+        _opt("--seed", type=_int, default=0))),
     "verify": (_cmd_verify, (
         _opt("name", help=f"bundled scenario: {' or '.join(SCENARIOS)}"),)),
 }
@@ -520,6 +528,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser(command: str) -> argparse.ArgumentParser:
     p = _Parser(prog=f"nadyn {command}")
+    # argparse reads "-1/2" as an option, which would leave "--x -1/2" without a value
+    p._negative_number_matcher = re.compile(rf"{p._negative_number_matcher.pattern}|^-\d+/\d+$")
     p.set_defaults(command=command, system=None)
     for flags, kwargs in COMMANDS[command][1] + _COMMON:
         p.add_argument(*flags, **kwargs)

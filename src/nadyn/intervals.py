@@ -15,8 +15,10 @@ gap runs from ``hi + 1`` to the next ``lo - 1``, and intersections take
 ``max``/``min``.  Any key ``k`` has the closed value ``(k + 1) >> 2`` and
 the openness ``((k + 1) & 3) - 1``.  A set is always canonical (parts
 merged, ``den`` least), so point-set equality is structural equality.
-:class:`Interval` and ``Fraction`` stay the API: ``.parts`` decodes the
-keys on first use.
+``(den, keys)`` is a set's only state.  :meth:`IntervalSet.ends` decodes it
+for every reader outside the set algebra, as each part's ends in integer
+numerators over ``den`` with their openness flags: the text form, ``.parts``
+(the :class:`Interval` API), the grid lookups and the Monte Carlo masks.
 """
 
 from __future__ import annotations
@@ -71,9 +73,13 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     """Render a rational as ``"p/q"``, or ``"p"`` when integral."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return _ratio(q.numerator, q.denominator)
+
+
+def _ratio(p: int, q: int) -> str:
+    """p/q (q > 0) in lowest terms, as ``"p/q"`` or ``"p"`` when integral."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
 def as_rational(value) -> Fraction:
@@ -111,19 +117,14 @@ class Interval:
         object.__setattr__(self, "lo", as_rational(self.lo))
         object.__setattr__(self, "hi", as_rational(self.hi))
         if self.lo > self.hi:
-            raise MalformedInterval(f"lo > hi in {self._raw_text()}")
+            raise MalformedInterval(f"lo > hi in {_quoted(str(self))}")
         if self.lo == self.hi and (self.lo_open or self.hi_open):
-            raise MalformedInterval(
-                f"degenerate interval {self._raw_text()} must be closed on both ends"
-            )
+            raise MalformedInterval(f"degenerate interval {self} must be closed on both ends")
 
-    def _raw_text(self) -> str:
+    def __str__(self) -> str:
         lo_br = "(" if self.lo_open else "["
         hi_br = ")" if self.hi_open else "]"
         return f"{lo_br}{format_rational(self.lo)},{format_rational(self.hi)}{hi_br}"
-
-    def __str__(self) -> str:
-        return self._raw_text()
 
     @classmethod
     def parse(cls, text: str) -> "Interval":
@@ -184,7 +185,7 @@ def _canonical(den: int, keys) -> "IntervalSet":
     if g > 1:
         out = [4 * (((k + 1) >> 2) // g) + ((k + 1) & 3) - 1 for k in out]
     s = IntervalSet.__new__(IntervalSet)
-    s.den, s.keys, s._parts = den // g, tuple(out), None
+    s.den, s.keys = den // g, tuple(out)
     return s
 
 
@@ -217,20 +218,19 @@ class IntervalSet:
 
     Use :func:`canonicalize` (or the set operations) to build one from
     arbitrary parts; direct construction demands already-canonical input.
-    Immutable, apart from caching the decoded ``parts`` on first use.
+    Immutable.
     """
 
-    __slots__ = ("den", "keys", "_parts")
+    __slots__ = ("den", "keys")
 
     def __init__(self, parts: Iterable[Interval] = ()):
-        parts = tuple(parts)
-        self.den, keys = _encode(parts)
-        for i in range(1, len(parts)):
-            if parts[i - 1].sort_key() > parts[i].sort_key():
+        self.den, keys = _encode(list(parts))
+        for i in range(2, len(keys), 2):
+            if keys[i - 2:i] > keys[i:i + 2]:  # (lo, lo_open, hi) order, by keys
                 raise MalformedInterval("parts not sorted; use canonicalize()")
-            if keys[2 * i] <= keys[2 * i - 1] + 1:
+            if keys[i] <= keys[i - 1] + 1:
                 raise MalformedInterval("parts overlap or touch; use canonicalize()")
-        self.keys, self._parts = tuple(keys), parts
+        self.keys = tuple(keys)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntervalSet) and (self.den, self.keys) == (other.den, other.keys)
@@ -244,32 +244,28 @@ class IntervalSet:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def empty(cls) -> "IntervalSet":
-        return cls(())
-
-    @classmethod
     def parse(cls, spec) -> "IntervalSet":
         """Parse a single interval literal or a list of them."""
         if isinstance(spec, str):
             s = spec.strip()
             if s in ("", "[]", "∅", "empty"):
-                return cls.empty()
+                return EMPTY_SET
             return canonicalize([Interval.parse(s)])
         return canonicalize([Interval.parse(t) for t in spec])
 
     # -- basic queries ------------------------------------------------
 
+    def ends(self) -> Iterator[tuple[int, int, bool, bool]]:
+        """Each part as ``(a, b, lo_open, hi_open)``: the part runs from a/den to b/den."""
+        for lo, hi in _pairs(self.keys):
+            yield (lo + 1) >> 2, (hi + 1) >> 2, lo & 3 == 1, hi & 3 == 3
+
     @property
     def parts(self) -> tuple[Interval, ...]:
-        """The parts as Intervals, decoded from the keys on first use."""
-        if self._parts is None:
-            den = self.den
-            self._parts = tuple(
-                Interval(Fraction((lo + 1) >> 2, den), Fraction((hi + 1) >> 2, den),
-                         lo & 3 == 1, hi & 3 == 3)
-                for lo, hi in _pairs(self.keys)
-            )
-        return self._parts
+        """The parts as Intervals."""
+        den = self.den
+        return tuple(Interval(Fraction(a, den), Fraction(b, den), lo_open, hi_open)
+                     for a, b, lo_open, hi_open in self.ends())
 
     @property
     def part_count(self) -> int:
@@ -283,12 +279,13 @@ class IntervalSet:
         return iter(self.parts)
 
     def __str__(self) -> str:
-        if not self.keys:
-            return "∅"
-        return " ∪ ".join(str(p) for p in self.parts)
+        return " ∪ ".join(self.to_json()) or "∅"
 
     def to_json(self) -> list[str]:
-        return [str(p) for p in self.parts]
+        """The parts' texts, as ``str`` gives each Interval, built from the numerators."""
+        den = self.den
+        return [f"{'[('[lo_open]}{_ratio(a, den)},{_ratio(b, den)}{'])'[hi_open]}"
+                for a, b, lo_open, hi_open in self.ends()]
 
     def measure(self) -> Fraction:
         """Total length; openness flags are measure-null."""

@@ -294,19 +294,6 @@ def extract_exceptional_set(
     )
 
 
-def extract_mixing_tail(
-    series: CorrelationSeries,
-    thresholds: Sequence[Fraction] = DEFAULT_THRESHOLDS,
-) -> ExceptionalSetReport:
-    """Apply the exceptional-set extraction to a series' deviations.
-
-    On success, every time outside the exceptional set at or past the
-    last breakpoint has |c_n - product| below the final threshold -- the
-    finite-horizon face of convergence along a density-one set.
-    """
-    return extract_exceptional_set(series.deviations, thresholds)
-
-
 def intersection_witness(
     j1: IndexSet, j2: IndexSet, cutoff: int
 ) -> tuple[int | None, Fraction]:

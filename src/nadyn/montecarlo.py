@@ -130,12 +130,13 @@ def _as_float_schedule(system: Schedule | FloatSchedule) -> FloatSchedule:
 
 def _member_mask(s: IntervalSet, xs: np.ndarray) -> np.ndarray:
     # openness flags matter even here: a constant piece parks positive
-    # mass exactly on an endpoint, so strict/non-strict cannot be fudged
+    # mass exactly on an endpoint, so strict/non-strict cannot be fudged;
+    # a / den is correctly rounded, the same double as float(Fraction(a, den))
     mask = np.zeros(xs.shape, dtype=bool)
-    for p in s.parts:
-        lo, hi = float(p.lo), float(p.hi)
-        at_lo = (xs > lo) if p.lo_open else (xs >= lo)
-        at_hi = (xs < hi) if p.hi_open else (xs <= hi)
+    for a, b, lo_open, hi_open in s.ends():
+        lo, hi = a / s.den, b / s.den
+        at_lo = (xs > lo) if lo_open else (xs >= lo)
+        at_hi = (xs < hi) if hi_open else (xs <= hi)
         mask |= at_lo & at_hi
     return mask
 

@@ -199,13 +199,16 @@ def _cells_met(s: IntervalSet, start: Fraction, g: Fraction, k: int) -> Iterator
     A part with interior meets exactly the cells its span overlaps, whatever
     its flags; a point meets a cell only strictly inside it.
     """
-    for p in s.parts:
-        if p.lo == p.hi:
-            t = (p.lo - start) / g
-            if t.denominator != 1:
-                yield t.numerator // t.denominator
+    # an end a/s.den lies (a*m - c)/d cells past start, in integers
+    m = start.denominator * g.denominator
+    c, d = start.numerator * s.den * g.denominator, s.den * start.denominator * g.numerator
+    for a, b, _, _ in s.ends():
+        if a == b:
+            i, r = divmod(a * m - c, d)
+            if r:
+                yield i
         else:
-            yield from range(max(0, (p.lo - start) // g), min(k, -((start - p.hi) // g)))
+            yield from range(max(0, (a * m - c) // d), min(k, -((c - b * m) // d)))
 
 
 @lru_cache(maxsize=_MATRIX_MEMO_SIZE)

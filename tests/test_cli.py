@@ -281,7 +281,9 @@ class TestExitCodes:
         (["hitting", "--system", "tent", "--U", "(0,1/4)", "--V", "(3/4,1)"],
          "the following arguments are required: --H"),
         (["hitting", "--system", "tent", "--U", "(0,1/4)", "--V", "(3/4,1)", "--H", "x"],
-         "argument --H: invalid int value: 'x'"),
+         'argument --H: invalid int value: "x"'),
+        (["eval", "--system", "tent", "--x", "0", "--n", "y" * 200],
+         'argument --n: invalid int value: "%s…" (200 characters)' % ("y" * 60)),
         (["eval", "--system", "tent", "--x", "0", "--y", "1"],
          "unrecognized arguments: --y 1"),
         (["verify"], "the following arguments are required: name"),
@@ -315,6 +317,20 @@ class TestExitCodes:
     def test_unknown_example(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--system", "lorenz", "--x", "0")
         assert code == 4 and err["error"] == "unknown_example"
+        assert err["detail"].startswith('unknown system "lorenz": not a bundled example')
+        code, _, err = run_cli(capsys, "eval", "--system", "x" * 200, "--x", "0")
+        assert code == 4
+        assert err["detail"].startswith('unknown system "%s…" (200 characters):' % ("x" * 60))
+
+    @pytest.mark.parametrize("x,value", [("-1/2", "1/2"), ("-1", "1")])
+    def test_a_negative_rational_is_an_option_value(self, tmp_path, capsys, x, value):
+        # argparse alone reads "-1/2" as an unknown option and leaves --x without its value
+        path = tmp_path / "flip.json"
+        path.write_text(json.dumps({"domain": "[-1,1]", "cycle": [
+            {"pieces": [{"on": "[-1,1]", "slope": "-1", "intercept": "0"}]}]}))
+        code, spaced, _ = run_cli(capsys, "eval", "--system", str(path), "--x", x, "--n", "1")
+        assert code == 0 and spaced["result"] == {"value": value}
+        assert run_cli(capsys, "eval", "--system", str(path), f"--x={x}", "--n", "1")[1] == spaced
 
     def test_kvn_loads_a_given_system_even_with_values(self, tmp_path, capsys):
         values = ["kvn", "--values", '["1","0"]']

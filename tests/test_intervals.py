@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nadyn import (
@@ -53,7 +53,10 @@ class TestRationals:
         (Interval.parse, "(" * 61,
          'cannot parse "%s…" (61 characters) as an interval literal' % ("(" * 60)),
         (Interval.parse, "(" * 60, 'cannot parse "%s" as an interval literal' % ("(" * 60)),
-    ], ids=["rational", "zero_denominator", "float_literal", "interval", "interval_at_60"])
+        (Interval.parse, "[%s,1]" % ("9" * 200),
+         'lo > hi in "[%s…" (204 characters)' % ("9" * 59)),
+    ], ids=["rational", "zero_denominator", "float_literal", "interval", "interval_at_60",
+            "lo_above_hi"])
     def test_an_echoed_argument_is_cut_after_60_characters(self, parse, text, detail):
         with pytest.raises((MalformedRational, MalformedInterval)) as exc:
             parse(text)
@@ -175,6 +178,23 @@ def test_meets_agrees_with_sample_point_oracle(a, b):
 @given(interval_sets_in())
 def test_canonicalize_idempotent(a):
     assert canonicalize(a.parts) == a
+
+
+# ends that are negative, integral or thirds, points, and both flags
+WIDE_SETS = interval_sets_in(F(-3), F(2), max_parts=4, den=15)
+MIXED = IntervalSet.parse(["[-7/3,-2)", "[-1,-1]", "(-1/2,1/3]", "(5/7,1)", "[4/3,4/3]"])
+
+
+@given(WIDE_SETS)
+@example(MIXED)
+@example(EMPTY_SET)
+def test_text_and_parts_read_the_same_ends(s):
+    # the Interval renderer is the reference for the text built from the numerators
+    assert s.to_json() == [str(p) for p in s.parts]
+    assert str(s) == (" ∪ ".join(str(p) for p in s.parts) or "∅")
+    rebuilt = IntervalSet(Interval(F(a, s.den), F(b, s.den), lo_open, hi_open)
+                          for a, b, lo_open, hi_open in s.ends())
+    assert rebuilt == s
 
 
 @given(st.lists(intervals_in(), max_size=4))

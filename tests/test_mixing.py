@@ -17,7 +17,6 @@ from nadyn import (
     correlation_series,
     density_stats,
     extract_exceptional_set,
-    extract_mixing_tail,
     intersection_witness,
 )
 from randgen import interval_sets_in, schedules
@@ -150,7 +149,7 @@ class TestExceptionalSetExtraction:
 
     def test_mixing_tail_bridge(self):
         series = correlation_series(TENT, HALF, HALF, 16)
-        rep = extract_mixing_tail(series)
+        rep = extract_exceptional_set(series.deviations)
         for n in range(rep.tail_start, rep.horizon):
             if n not in rep.exceptional.members:
                 assert series.deviations[n] < rep.thresholds[-1]

@@ -23,9 +23,9 @@ from nadyn import (
     prefix_image,
     write_system_file,
 )
-from nadyn.montecarlo import _compile_plmap
+from nadyn.montecarlo import _compile_plmap, _member_mask
 from nadyn.sysio import parse_mc_system_file
-from randgen import UNIT, plmaps, rand_schedule
+from randgen import UNIT, interval_sets_in, plmaps, rand_schedule
 
 TENT = bundled_example("tent")
 HALF = IntervalSet.parse("[0,1/2]")
@@ -138,6 +138,33 @@ class TestStepKernel:
         for c0, c1, c2 in [(0.0, 4.0, -4.0), (0.1, 3.7, -3.7), (1 / 3, -0.7, 0.29)]:
             want = c0 + xs * (c1 + xs * c2)
             assert np.array_equal(QuadraticMap(c0, c1, c2)(xs), want)
+
+
+def reference_mask(s, xs):
+    """Membership by the doubles of each Interval's ends, with its flags."""
+    mask = np.zeros(xs.shape, dtype=bool)
+    for p in s.parts:
+        lo, hi = float(p.lo), float(p.hi)
+        at_lo = (xs > lo) if p.lo_open else (xs >= lo)
+        at_hi = (xs < hi) if p.hi_open else (xs <= hi)
+        mask |= at_lo & at_hi
+    return mask
+
+
+class TestMemberMask:
+    @settings(max_examples=80, deadline=None)
+    @given(interval_sets_in(F(-3), F(2), max_parts=4, den=15))
+    @example(IntervalSet.parse(["[-7/3,-2)", "[-1,-1]", "(-1/2,1/3]", "(5/7,1)"]))
+    @example(IntervalSet.parse(["(1/3,%d/%d]" % (10**30 + 1, 10**30), "[10/7,10/7]"]))
+    def test_equals_the_interval_reference_bit_for_bit(self, s):
+        ends = np.array([float(e) for p in s.parts for e in (p.lo, p.hi)])
+        xs = np.concatenate([
+            np.random.default_rng(0).uniform(-3.5, 2.5, 1000),
+            ends,
+            np.nextafter(ends, -np.inf),
+            np.nextafter(ends, np.inf),
+        ])
+        assert np.array_equal(_member_mask(s, xs), reference_mask(s, xs))
 
 
 class TestSeparation:

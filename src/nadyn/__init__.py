@@ -85,6 +85,7 @@ from .topology import (
     CellWitness,
     HittingSet,
     InvariantSetCertificate,
+    PairPairs,
     SensitivityCertificate,
     SensitivityFailure,
     Verdict,

@@ -163,14 +163,16 @@ def _verdict_json(v: Verdict, sch: Schedule) -> dict:
     if v.grid is not None:
         cells = [str(c) for c in open_grid(sch.domain, v.grid)]
         if v.property_name == "weak_mixing":
-            # one list per cell pair, shared by every row that names it
-            pairs = {(u, w): [cu, cw] for u, cu in enumerate(cells)
-                     for w, cw in enumerate(cells)}
+            # one list per cell pair, shared by every row that names it; each
+            # first pair's rows come from its mask class's template
+            pairs = [[cu, cw] for cu in cells for cw in cells]
+            hit, miss = v.witnesses.rows(pairs), v.unhit.rows(pairs)
             doc["witnesses"] = [
-                {"pair1": pairs[p1], "pair2": pairs[p2], "n": n}
-                for (p1, p2), n in v.witnesses
+                {"pair1": p1, "pair2": p2, "n": n}
+                for p1, c1 in zip(pairs, v.witnesses.classes) for p2, n in zip(*hit[c1])
             ]
-            doc["unhit"] = [{"pair1": pairs[p1], "pair2": pairs[p2]} for p1, p2 in v.unhit]
+            doc["unhit"] = [{"pair1": p1, "pair2": p2}
+                            for p1, c1 in zip(pairs, v.unhit.classes) for p2 in miss[c1][0]]
         else:
             key = "tail_start" if v.property_name == "mixing" else "n"
             doc["witnesses"] = [
@@ -522,6 +524,12 @@ COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:  # argparse's own message would echo every extra argument whole
+            self.error(f"unrecognized arguments: {_quoted(' '.join(extras))}")
+        return args
+
     def error(self, message: str):
         raise MalformedInput(message)  # a JSON diagnostic, not argparse's usage text
 
@@ -559,8 +567,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     command, rest = argv[0], argv[1:]
     if command not in COMMANDS:
-        _diagnostic(command, "unknown_command",
-                    f"unknown command {command!r}; choose from {list(COMMANDS)}")
+        _diagnostic(command[:60], "unknown_command",
+                    f"unknown command {_quoted(command)}; choose from {list(COMMANDS)}")
         return 4
     try:
         args = _build_parser(command).parse_args(rest)
@@ -572,7 +580,7 @@ def main(argv: list[str] | None = None) -> int:
             "budget": {"max_parts": budget.max_parts, "source": budget_source},
         }
         if command == "verify" and args.name not in SCENARIOS:
-            raise UnknownExample(f"no bundled verification scenario named {args.name!r}; "
+            raise UnknownExample(f"no bundled verification scenario named {_quoted(args.name)}; "
                                  f"choose {' or '.join(SCENARIOS)}")
         source = args.name if command == "verify" else args.system
         system = None

@@ -17,10 +17,11 @@ lags elsewhere start at 0.  Both conventions are surfaced in reports.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Iterator
 
 from .errors import (
@@ -142,13 +143,62 @@ def recheck_certificate(cert: InvariantSetCertificate, sch: Schedule) -> bool:
 
 
 @dataclass(frozen=True, slots=True)
+class PairPairs:
+    """One side of a weak-mixing listing, kept by mask class and expanded when read.
+
+    Cell pair p = (u, v) of the k-cell grid has the mask class
+    classes[u*k + v], and two pairs of classes c1 and c2 first hit together
+    at least[c1][c2] (0: never within the horizon).  The hit side lists the
+    rows ((p1, p2), n) with n nonzero, the other side the rows (p1, p2) with
+    no common hit, both p1-major and p2-minor.  Its length comes from the
+    class counts; the rows are built only when iterated.
+    """
+
+    k: int
+    classes: tuple[int, ...]
+    least: tuple[tuple[int, ...], ...]
+    hit: bool
+
+    def __len__(self) -> int:
+        counts = Counter(self.classes)
+        return sum(counts[c1] * counts[c2] for c1, row in enumerate(self.least)
+                   for c2, n in enumerate(row) if bool(n) == self.hit)
+
+    def rows(self, labels: list) -> list[tuple[list, list]]:
+        """For each class c1, the row template every first pair of class c1 shares.
+
+        A template is (seconds, times): labels[p2] of each second pair p2 on
+        this side, in p2 order, and the least common hitting time of each.
+        """
+        templates = []
+        for row in self.least:
+            times = [row[c2] for c2 in self.classes]
+            keep = [bool(n) == self.hit for n in times]
+            templates.append((list(compress(labels, keep)), list(compress(times, keep))))
+        return templates
+
+    def __iter__(self) -> Iterator[tuple]:
+        pairs = [(u, v) for u in range(self.k) for v in range(self.k)]
+        templates = self.rows(pairs)
+        for p1, c1 in zip(pairs, self.classes):
+            seconds, times = templates[c1]
+            if self.hit:
+                yield from zip(zip(repeat(p1), seconds), times)
+            else:
+                yield from zip(repeat(p1), seconds)
+
+
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Three-valued outcome of a finite-resolution property check.
 
     witnesses maps each tested pair (or pair of pairs) to a concrete
     hitting index; unhit lists the pairs that block a WITNESSED verdict.
-    tail is the mixing tail start (mixing property only).  A
-    CERTIFIED_FAIL verdict carries the underlying certificate.
+    Transitivity and mixing list cell pairs in plain tuples; weak mixing
+    lists pairs of pairs as PairPairs, which keep the k^4 rows by mask
+    class and build them only when read.  tail is the mixing tail start
+    (mixing property only).  A CERTIFIED_FAIL verdict carries the
+    underlying certificate.
     """
 
     property_name: str
@@ -156,8 +206,8 @@ class Verdict:
     grid: Fraction | None
     horizon: int
     tail: int | None = None
-    witnesses: tuple = ()
-    unhit: tuple = ()
+    witnesses: tuple | PairPairs = ()
+    unhit: tuple | PairPairs = ()
     certificate: InvariantSetCertificate | None = None
 
     @property
@@ -249,7 +299,7 @@ def _least_bit(mask: int) -> int:
     return (mask & -mask).bit_length()  # 1-based hitting index; 0 for no bit
 
 
-def _pairwise(masks, score) -> tuple[list, list]:
+def _pairwise(masks, score) -> tuple[tuple, tuple]:
     """Witnesses ((u, v), score) for the cell pairs scoring nonzero, and the unhit rest."""
     witnesses = []
     unhit = []
@@ -260,7 +310,7 @@ def _pairwise(masks, score) -> tuple[list, list]:
                 witnesses.append(((ui, vi), n))
             else:
                 unhit.append((ui, vi))
-    return witnesses, unhit
+    return tuple(witnesses), tuple(unhit)
 
 
 def _verdict(name: str, g, horizon: int, witnesses, unhit, tail=None) -> Verdict:
@@ -271,8 +321,8 @@ def _verdict(name: str, g, horizon: int, witnesses, unhit, tail=None) -> Verdict
         grid=as_rational(g),
         horizon=horizon,
         tail=None if unhit else tail,
-        witnesses=tuple(witnesses),
-        unhit=tuple(unhit),
+        witnesses=witnesses,
+        unhit=unhit,
     )
 
 
@@ -300,32 +350,20 @@ def weakmix_verdict(
     """Witness a shared hitting time for every two ordered cell pairs.
 
     Pairs with equal masks have equal rows in the pair-of-pairs listing, so
-    the least common hit is computed once per two mask classes, and each
-    pair's row is emitted from its class's template.
+    the verdict reads the d distinct masks only: each cell pair's class and
+    the d x d table of least common hits, k^2 + d^2 work.  It is witnessed
+    iff no entry of the table is 0.  The k^4 listing in witnesses and unhit
+    is built only when it is iterated or written.
     """
     _, masks = hitting_matrix(sch, g, horizon, budget)
-    k = len(masks)
-    pairs = [(ui, vi) for ui in range(k) for vi in range(k)]
     flat = [mask for row in masks for mask in row]
     distinct = list(dict.fromkeys(flat))
     class_of = {mask: c for c, mask in enumerate(distinct)}
-    classes = [class_of[mask] for mask in flat]
-    templates = []
-    for m1 in distinct:
-        least = [_least_bit(m1 & m2) for m2 in distinct]
-        hit = [least[c2] for c2 in classes]
-        templates.append((
-            [p2 for p2, n in zip(pairs, hit) if n],
-            [n for n in hit if n],
-            [p2 for p2, n in zip(pairs, hit) if not n],
-        ))
-    witnesses = []
-    unhit = []
-    for p1, c1 in zip(pairs, classes):
-        hit_pairs, hit_times, miss_pairs = templates[c1]
-        witnesses.extend(zip(zip(repeat(p1), hit_pairs), hit_times))
-        unhit.extend(zip(repeat(p1), miss_pairs))
-    return _verdict("weak_mixing", g, horizon, witnesses, unhit)
+    classes = tuple(map(class_of.__getitem__, flat))
+    least = tuple(tuple(_least_bit(m1 & m2) for m2 in distinct) for m1 in distinct)
+    k = len(masks)
+    return _verdict("weak_mixing", g, horizon, PairPairs(k, classes, least, True),
+                    PairPairs(k, classes, least, False))
 
 
 def mixing_verdict(

@@ -275,7 +275,18 @@ class TestExitCodes:
         assert code == 4 and not captured.out
         err = strict_json(captured.err)
         assert err["command"] == "bogus" and err["error"] == "unknown_command"
-        assert err["detail"].startswith("unknown command 'bogus'; choose from ['eval'")
+        assert err["detail"].startswith('unknown command "bogus"; choose from [\'eval\'')
+
+    @pytest.mark.parametrize("argv,code,bound", [
+        (["z" * 200, "--x", "0"], 4, 400),
+        (["verify", "z" * 200], 4, 250),
+        (["eval", "--system", "tent", "--x", "0", "z" * 200], 2, 200),
+    ])
+    def test_an_echoed_name_is_cut_after_60_characters(self, capsys, argv, code, bound):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert not captured.out and len(captured.err) < bound
+        assert "z" * 61 not in captured.err and "(200 characters)" in captured.err
 
     @pytest.mark.parametrize("argv,detail", [
         (["hitting", "--system", "tent", "--U", "(0,1/4)", "--V", "(3/4,1)"],
@@ -285,7 +296,7 @@ class TestExitCodes:
         (["eval", "--system", "tent", "--x", "0", "--n", "y" * 200],
          'argument --n: invalid int value: "%s…" (200 characters)' % ("y" * 60)),
         (["eval", "--system", "tent", "--x", "0", "--y", "1"],
-         "unrecognized arguments: --y 1"),
+         'unrecognized arguments: "--y 1"'),
         (["verify"], "the following arguments are required: name"),
     ])
     def test_usage_error_is_a_json_diagnostic(self, capsys, argv, detail):

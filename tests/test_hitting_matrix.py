@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from nadyn import (
     DEFAULT_BUDGET,
+    WITNESSED_UP_TO,
     BudgetExceeded,
     GridMismatch,
     Interval,
@@ -145,7 +146,25 @@ def test_weakmix_listing_equals_brute_force_in_order(name, g):
     sch = bundled_example(name)
     _, masks = reference_matrix(sch, g, 10)
     v = weakmix_verdict(sch, g, 10)
-    assert (v.witnesses, v.unhit) == reference_weakmix_listing(masks)
+    assert (tuple(v.witnesses), tuple(v.unhit)) == reference_weakmix_listing(masks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_systems())
+def test_weakmix_by_class_expands_to_the_brute_force_listing(system):
+    sch, g, horizon = system
+    _, masks = reference_matrix(sch, g, horizon)
+    v = weakmix_verdict(sch, g, horizon)
+    witnesses, unhit = reference_weakmix_listing(masks)
+    assert (tuple(v.witnesses), tuple(v.unhit)) == (witnesses, unhit)
+    assert (len(v.witnesses), len(v.unhit)) == (len(witnesses), len(unhit))
+    assert v.witnessed == (not unhit)
+
+
+def test_weakmix_at_256_cells_is_decided_without_its_listing():
+    v = weakmix_verdict(bundled_example("tent"), F(1, 256), 24)
+    assert v.kind == WITNESSED_UP_TO
+    assert len(v.witnesses) == 256**4 and not v.unhit
 
 
 class TestMemo:

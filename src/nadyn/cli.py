@@ -24,7 +24,7 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
+from itertools import accumulate
 
 from . import __version__
 from .errors import (
@@ -56,6 +56,7 @@ from .plmaps import (
     prefix_preimage,
 )
 from .sysio import (
+    _json_rational,
     decode_json,
     parse_mc_system_file,
     parse_set_argument,
@@ -88,7 +89,8 @@ def _resolve_budget(flag_value: int | None) -> tuple[PropagationBudget, str]:
             try:
                 return PropagationBudget(int(value)), source
             except ValueError:
-                raise MalformedInput(f"{name} must be a positive integer, got {value!r}")
+                raise MalformedInput(
+                    f"{name} must be a positive integer, got {_quoted(str(value))}")
     return DEFAULT_BUDGET, "default"
 
 
@@ -139,12 +141,6 @@ def _json_list(text: str, item, kind: str = "") -> list:
     return [item(x) for x in loaded]
 
 
-def _exact_item(x) -> Fraction:
-    if isinstance(x, (bool, float)):
-        raise MalformedInput(f"{x!r} is not exact; use integers or rational strings")
-    return parse_rational(str(x))
-
-
 def _int_item(x) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise MalformedInput("expected a JSON list of integers")
@@ -163,16 +159,11 @@ def _verdict_json(v: Verdict, sch: Schedule) -> dict:
     if v.grid is not None:
         cells = [str(c) for c in open_grid(sch.domain, v.grid)]
         if v.property_name == "weak_mixing":
-            # one list per cell pair, shared by every row that names it; each
-            # first pair's rows come from its mask class's template
+            # one list per cell pair, shared by every row that names it
             pairs = [[cu, cw] for cu in cells for cw in cells]
-            hit, miss = v.witnesses.rows(pairs), v.unhit.rows(pairs)
-            doc["witnesses"] = [
-                {"pair1": p1, "pair2": p2, "n": n}
-                for p1, c1 in zip(pairs, v.witnesses.classes) for p2, n in zip(*hit[c1])
-            ]
-            doc["unhit"] = [{"pair1": p1, "pair2": p2}
-                            for p1, c1 in zip(pairs, v.unhit.classes) for p2 in miss[c1][0]]
+            doc["witnesses"] = [{"pair1": p1, "pair2": p2, "n": n}
+                                for p1, p2, n in v.witnesses.rows(pairs)]
+            doc["unhit"] = [{"pair1": p1, "pair2": p2} for p1, p2, _ in v.unhit.rows(pairs)]
         else:
             key = "tail_start" if v.property_name == "mixing" else "n"
             doc["witnesses"] = [
@@ -297,7 +288,7 @@ def _cmd_cesaro(args, sch: Schedule, budget: PropagationBudget) -> tuple[dict, d
     return params, {
         "cesaro_deviation": _fr(value),
         "prefix_averages": [
-            _fr(cesaro_deviation(series, k)) for k in range(1, series.horizon + 1)
+            _fr(total / k) for k, total in enumerate(accumulate(series.deviations), start=1)
         ],
         "series": _series_json(series),
     }
@@ -321,10 +312,10 @@ def _cmd_density(args, _system, budget: PropagationBudget) -> tuple[dict, dict]:
 def _cmd_kvn(args, sch: Schedule | None, budget: PropagationBudget) -> tuple[dict, dict]:
     thresholds = DEFAULT_THRESHOLDS
     if args.thresholds:
-        thresholds = tuple(_json_list(args.thresholds, _exact_item))
+        thresholds = tuple(_json_list(args.thresholds, _json_rational))
     params: dict = {"thresholds": [_fr(t) for t in thresholds]}
     if args.values is not None:
-        values = _json_list(args.values, _exact_item)
+        values = _json_list(args.values, _json_rational)
         params["values_count"] = len(values)
     elif sch is not None:
         if args.A is None or args.B is None or args.N is None:

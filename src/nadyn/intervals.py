@@ -119,7 +119,8 @@ class Interval:
         if self.lo > self.hi:
             raise MalformedInterval(f"lo > hi in {_quoted(str(self))}")
         if self.lo == self.hi and (self.lo_open or self.hi_open):
-            raise MalformedInterval(f"degenerate interval {self} must be closed on both ends")
+            raise MalformedInterval(
+                f"degenerate interval {_quoted(str(self))} must be closed on both ends")
 
     def __str__(self) -> str:
         lo_br = "(" if self.lo_open else "["

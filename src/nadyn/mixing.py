@@ -11,6 +11,7 @@ as limits.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -58,15 +59,14 @@ def density_stats(s: IndexSet, tail_start: int) -> DensityStats:
     """Exact max/min of the counting ratio over n in [tail_start, horizon]."""
     if not (1 <= tail_start <= s.horizon):
         raise ValueError("need 1 <= tail_start <= horizon")
-    # prefix counts make the scan linear in the horizon
-    counts = [0] * (s.horizon + 1)
-    for m in s.members:
-        counts[m + 1] = 1
-    for n in range(1, s.horizon + 1):
-        counts[n] += counts[n - 1]
-    best_hi = best_lo = Fraction(counts[tail_start], tail_start)
+    # members are sorted and distinct, so count is |S ∩ {0..n-1}| as n runs
+    members = s.members
+    count = bisect_left(members, tail_start)
+    best_hi = best_lo = Fraction(count, tail_start)
     for n in range(tail_start + 1, s.horizon + 1):
-        r = Fraction(counts[n], n)
+        if count < len(members) and members[count] < n:
+            count += 1
+        r = Fraction(count, n)
         if r > best_hi:
             best_hi = r
         if r < best_lo:
@@ -238,47 +238,40 @@ def extract_exceptional_set(
     if any(t1 <= t2 for t1, t2 in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be strictly decreasing")
 
-    # nested super-threshold sets, one prefix-count array per threshold
-    level_counts: list[list[int]] = []
-    for t in thresholds:
-        counts = [0] * (horizon + 1)
-        for i, v in enumerate(values):
-            counts[i + 1] = counts[i] + (1 if v >= t else 0)
-        level_counts.append(counts)
-
     breakpoints: list[int] = []
-    prev = 0
-    for k, counts in enumerate(level_counts, start=1):
-        # least n > prev with counts[m]*k < m for every m in [n, horizon]
-        worst = 0
-        for m in range(horizon, 0, -1):
-            if counts[m] * k >= m:
+    for k, t in enumerate(thresholds, start=1):
+        # n_k is the least n > n_{k-1} past the last m with |J_k ∩ {0..m-1}|*k >= m
+        hits = worst = 0
+        for m, v in enumerate(values, start=1):
+            if v >= t:
+                hits += 1
+            if hits * k >= m:
                 worst = m
-                break
-        n_k = max(worst + 1, prev + 1)
+        n_k = max(worst, breakpoints[-1] if breakpoints else 0) + 1
         if n_k > horizon:
             raise NotExtractable(
-                f"threshold {thresholds[k - 1]} (level {k}) admits no breakpoint: "
+                f"threshold {t} (level {k}) admits no breakpoint: "
                 f"the counting ratio reaches 1/{k} at n = {worst} and no later "
                 f"start fits inside horizon {horizon}",
                 threshold_index=k - 1,
             )
         breakpoints.append(n_k)
-        prev = n_k
 
-    windows = list(zip([0] + breakpoints, breakpoints + [horizon]))
-    # windows[k] = [n_k, n_{k+1}) uses J_{k+1}; the final entry is the tail
+    # time i lies in the window [n_k, n_{k+1}) that uses J_{k+1}; the tail uses J_K
+    last = len(thresholds) - 1
+    tail_start = breakpoints[-1]
+    zero = Fraction(0)
     members: list[int] = []
-    for k, (lo, hi) in enumerate(windows):
-        t = thresholds[min(k, len(thresholds) - 1)]
-        members.extend(i for i in range(lo, hi) if values[i] >= t)
+    tail_max = off_max = zero
+    for i, v in enumerate(values):
+        if v >= thresholds[min(bisect_right(breakpoints, i), last)]:
+            members.append(i)
+        else:
+            off_max = max(off_max, v)
+            if i >= tail_start:
+                tail_max = max(tail_max, v)
 
     exceptional = IndexSet(horizon, tuple(members))
-    member_set = set(members)
-    tail_start = breakpoints[-1]
-    tail_vals = [values[i] for i in range(tail_start, horizon) if i not in member_set]
-    off_vals = [values[i] for i in range(horizon) if i not in member_set]
-    zero = Fraction(0)
     return ExceptionalSetReport(
         horizon=horizon,
         thresholds=thresholds,
@@ -287,8 +280,8 @@ def extract_exceptional_set(
         density=density_stats(exceptional, tail_start=horizon),
         tail_density=density_stats(exceptional, tail_start=tail_start),
         tail_start=tail_start,
-        tail_max=max(tail_vals, default=zero),
-        off_max=max(off_vals, default=zero),
+        tail_max=tail_max,
+        off_max=off_max,
         sup_value=max(values),
         cesaro=sum(values, zero) / horizon,
     )

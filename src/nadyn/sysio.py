@@ -29,8 +29,8 @@ import math
 from fractions import Fraction
 from typing import Any, Callable
 
-from .errors import MalformedInput, MalformedSystemFile
-from .intervals import Interval, IntervalSet, format_rational, parse_rational
+from .errors import MalformedInput, MalformedRational, MalformedSystemFile
+from .intervals import Interval, IntervalSet, _quoted, format_rational, parse_rational
 from .montecarlo import FloatSchedule, QuadraticMap
 from .plmaps import PLMap, Piece, Schedule
 
@@ -91,12 +91,29 @@ def schedule_to_dict(sch: Schedule) -> dict:
     }
 
 
+def _float_literal(x: float) -> str:
+    """The diagnostic for a JSON float where an exact value belongs, with its exact form."""
+    hint = f'; write "{format_rational(Fraction(str(x)))}"' if math.isfinite(x) else ""
+    return f"float literal {x!r} not accepted{hint}"
+
+
+def _json_rational(value: Any) -> Fraction:
+    """The exact rational a decoded JSON value spells: an integer or a rational string."""
+    if isinstance(value, str):
+        return parse_rational(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, float):
+        raise MalformedRational(_float_literal(value))
+    spelled = json.dumps(value, separators=(",", ":"))
+    raise MalformedRational(
+        f'expected an integer or a rational string "p/q", got JSON {_quoted(spelled)}'
+    )
+
+
 def _reject_floats(node: Any, path: str) -> None:
     if isinstance(node, float):
-        hint = f'; write "{format_rational(Fraction(str(node)))}"' if math.isfinite(node) else ""
-        raise MalformedSystemFile(
-            f"float literal {node!r} not accepted{hint}", field=path
-        )
+        raise MalformedSystemFile(_float_literal(node), field=path)
     if isinstance(node, dict):
         for k, v in node.items():
             if k != "quadratic":  # the one form whose coefficients are doubles
@@ -109,15 +126,8 @@ def _reject_floats(node: Any, path: str) -> None:
 def _rational_field(node: dict, key: str, path: str) -> Fraction:
     if key not in node:
         raise MalformedSystemFile(f'missing field "{key}"', field=path)
-    value = node[key]
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if not isinstance(value, str):
-        raise MalformedSystemFile(
-            f'field "{key}" must be an exact rational string', field=path
-        )
     try:
-        return parse_rational(value)
+        return _json_rational(node[key])
     except MalformedInput as e:
         raise MalformedSystemFile(str(e), field=f"{path}.{key}") from None
 

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from typing import Iterator
 
 from .errors import (
@@ -164,28 +164,25 @@ class PairPairs:
         return sum(counts[c1] * counts[c2] for c1, row in enumerate(self.least)
                    for c2, n in enumerate(row) if bool(n) == self.hit)
 
-    def rows(self, labels: list) -> list[tuple[list, list]]:
-        """For each class c1, the row template every first pair of class c1 shares.
+    def rows(self, labels: list) -> Iterator[tuple]:
+        """This side's rows (labels[p1], labels[p2], n), p1-major and p2-minor.
 
-        A template is (seconds, times): labels[p2] of each second pair p2 on
-        this side, in p2 order, and the least common hitting time of each.
+        n is the least common hitting time, 0 on the unhit side.  Every first
+        pair of mask class c1 shares one template of second pairs and times.
         """
         templates = []
         for row in self.least:
             times = [row[c2] for c2 in self.classes]
             keep = [bool(n) == self.hit for n in times]
             templates.append((list(compress(labels, keep)), list(compress(times, keep))))
-        return templates
+        return chain.from_iterable(zip(repeat(first), *templates[c1])
+                                   for first, c1 in zip(labels, self.classes))
 
     def __iter__(self) -> Iterator[tuple]:
-        pairs = [(u, v) for u in range(self.k) for v in range(self.k)]
-        templates = self.rows(pairs)
-        for p1, c1 in zip(pairs, self.classes):
-            seconds, times = templates[c1]
-            if self.hit:
-                yield from zip(zip(repeat(p1), seconds), times)
-            else:
-                yield from zip(repeat(p1), seconds)
+        rows = self.rows([(u, v) for u in range(self.k) for v in range(self.k)])
+        if self.hit:
+            return (((p1, p2), n) for p1, p2, n in rows)
+        return ((p1, p2) for p1, p2, _ in rows)
 
 
 @dataclass(frozen=True, slots=True)

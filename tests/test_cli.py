@@ -5,8 +5,11 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nadyn import (
+    DEFAULT_BUDGET,
     GridMismatch,
     HorizonExceeded,
     MalformedInput,
@@ -14,6 +17,9 @@ from nadyn import (
     OutOfDomain,
     ScaleMismatch,
     bundled_example,
+    cesaro_deviation,
+    correlation_series,
+    format_rational,
     open_grid,
     parse_system_file,
     weakmix_verdict,
@@ -21,6 +27,7 @@ from nadyn import (
 )
 from nadyn import cli
 from nadyn.cli import main
+from randgen import interval_sets_in, schedules
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +173,19 @@ class TestCommands:
         )
         assert code == 0 and doc["result"]["cesaro_deviation"] == "1/32"
 
+    @settings(max_examples=25, deadline=None)
+    @given(schedules(), interval_sets_in(max_parts=2), interval_sets_in(max_parts=2),
+           st.integers(1, 6))
+    def test_cesaro_prefix_averages_are_the_cesaro_deviations(self, sch, a, b, n):
+        args = cli._build_parser("cesaro").parse_args(
+            ["--system", "-", "--A", json.dumps(a.to_json()), "--B", json.dumps(b.to_json()),
+             "--N", "6", "--n", str(n)])
+        _, result = cli._cmd_cesaro(args, sch, DEFAULT_BUDGET)
+        series = correlation_series(sch, a, b, 6)
+        assert result["prefix_averages"] == [
+            format_rational(cesaro_deviation(series, k)) for k in range(1, 7)]
+        assert result["cesaro_deviation"] == result["prefix_averages"][n - 1]
+
     def test_density(self, capsys):
         members = json.dumps([i * i for i in range(32)])
         code, doc, _ = run_cli(
@@ -298,6 +318,15 @@ class TestExitCodes:
         (["eval", "--system", "tent", "--x", "0", "--y", "1"],
          'unrecognized arguments: "--y 1"'),
         (["verify"], "the following arguments are required: name"),
+        # a JSON list of exact values reads each item as a system file reads a slope
+        (["kvn", "--values", "[0.5]"], 'float literal 0.5 not accepted; write "1/2"'),
+        (["kvn", "--values", "[true]"],
+         'expected an integer or a rational string "p/q", got JSON "true"'),
+        (["kvn", "--values", '["1/2",null]'],
+         'expected an integer or a rational string "p/q", got JSON "null"'),
+        (["kvn", "--values", "[1]", "--thresholds", "[[%s]]" % ",".join(["1"] * 40)],
+         'expected an integer or a rational string "p/q", got JSON "[%s…" (81 characters)'
+         % ",".join(["1"] * 30)[:59]),
     ])
     def test_usage_error_is_a_json_diagnostic(self, capsys, argv, detail):
         code = main(argv)
@@ -409,9 +438,11 @@ class TestExitCodes:
         assert code == 0 and doc["budget"]["source"] == "flag"
 
     @pytest.mark.parametrize("flag,env,detail", [
-        (["--budget", "-3"], None, "--budget must be a positive integer, got -3"),
-        ([], "0", "NADYN_BUDGET must be a positive integer, got '0'"),
-    ])
+        (["--budget", "-3"], None, '--budget must be a positive integer, got "-3"'),
+        ([], "0", 'NADYN_BUDGET must be a positive integer, got "0"'),
+        ([], "z" * 200,
+         'NADYN_BUDGET must be a positive integer, got "%s…" (200 characters)' % ("z" * 60)),
+    ], ids=["flag", "env", "env_cut"])
     def test_bad_budget_names_its_source(self, capsys, monkeypatch, flag, env, detail):
         monkeypatch.delenv("NADYN_BUDGET", raising=False)
         if env is not None:

@@ -55,8 +55,11 @@ class TestRationals:
         (Interval.parse, "(" * 60, 'cannot parse "%s" as an interval literal' % ("(" * 60)),
         (Interval.parse, "[%s,1]" % ("9" * 200),
          'lo > hi in "[%s…" (204 characters)' % ("9" * 59)),
+        (Interval.parse, "(%s,%s)" % (10**200, 10**200),  # 1e200 as 201-digit integers
+         'degenerate interval "(1%s…" (405 characters) must be closed on both ends'
+         % ("0" * 58)),
     ], ids=["rational", "zero_denominator", "float_literal", "interval", "interval_at_60",
-            "lo_above_hi"])
+            "lo_above_hi", "degenerate"])
     def test_an_echoed_argument_is_cut_after_60_characters(self, parse, text, detail):
         with pytest.raises((MalformedRational, MalformedInterval)) as exc:
             parse(text)

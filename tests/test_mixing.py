@@ -166,6 +166,81 @@ def test_extraction_coherence_inequality(values):
     assert rep.density.upper == F(len(rep.exceptional.members), rep.horizon)
 
 
+def reference_extraction(values, thresholds):
+    """extract_exceptional_set straight from its definition, by direct counting.
+
+    n_k is the least n > n_{k-1} with |J_k ∩ {0..m-1}|*k < m for every m in
+    [n, N], where J_k holds the times with a value >= thresholds[k-1].
+    """
+    horizon = len(values)
+
+    def hits(t, m):
+        return sum(1 for v in values[:m] if v >= t)
+
+    breakpoints = []
+    for k, t in enumerate(thresholds, start=1):
+        prev = breakpoints[-1] if breakpoints else 0
+        n_k = next((n for n in range(prev + 1, horizon + 1)
+                    if all(hits(t, m) * k < m for m in range(n, horizon + 1))), None)
+        if n_k is None:
+            worst = max([m for m in range(1, horizon + 1) if hits(t, m) * k >= m], default=0)
+            raise NotExtractable(
+                f"threshold {t} (level {k}) admits no breakpoint: the counting ratio "
+                f"reaches 1/{k} at n = {worst} and no later start fits inside horizon "
+                f"{horizon}", threshold_index=k - 1)
+        breakpoints.append(n_k)
+    bounds = [0] + breakpoints + [horizon]
+    windows = [(bounds[j], bounds[j + 1], thresholds[min(j, len(thresholds) - 1)])
+               for j in range(len(bounds) - 1)]
+    members = [i for lo, hi, t in windows for i in range(lo, hi) if values[i] >= t]
+    ratios = [F(sum(1 for i in members if i < n), n) for n in range(breakpoints[-1], horizon + 1)]
+    off = [i for i in range(horizon) if i not in members]
+    return {
+        "breakpoints": tuple(breakpoints),
+        "members": tuple(members),
+        "density": (F(len(members), horizon),) * 2,
+        "tail_density": (max(ratios), min(ratios)),
+        "tail_max": max([values[i] for i in off if i >= breakpoints[-1]], default=F(0)),
+        "off_max": max([values[i] for i in off], default=F(0)),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([F(0)] * 4 + [F(k, 8) for k in range(1, 9)]),
+                min_size=1, max_size=40),
+       st.lists(st.integers(1, 16), min_size=1, max_size=5, unique=True)
+       .map(lambda js: tuple(F(j, 16) for j in sorted(js, reverse=True))))
+def test_extraction_matches_its_definition(values, thresholds):
+    try:
+        expected = reference_extraction(values, thresholds)
+    except NotExtractable as e:
+        with pytest.raises(NotExtractable) as got:
+            extract_exceptional_set(values, thresholds)
+        assert (str(got.value), got.value.threshold_index) == (str(e), e.threshold_index)
+        return
+    rep = extract_exceptional_set(values, thresholds)
+    assert {
+        "breakpoints": rep.breakpoints,
+        "members": rep.exceptional.members,
+        "density": (rep.density.upper, rep.density.lower),
+        "tail_density": (rep.tail_density.upper, rep.tail_density.lower),
+        "tail_max": rep.tail_max,
+        "off_max": rep.off_max,
+    } == expected
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 60).flatmap(lambda horizon: st.tuples(
+    st.lists(st.integers(0, horizon - 1), unique=True),
+    st.integers(1, horizon),
+    st.just(horizon))))
+def test_density_stats_match_directly_counted_ratios(case):
+    members, tail_start, horizon = case
+    ratios = [F(sum(1 for m in members if m < n), n) for n in range(tail_start, horizon + 1)]
+    ds = density_stats(IndexSet(horizon, tuple(members)), tail_start)
+    assert (ds.upper, ds.lower) == (max(ratios), min(ratios))
+
+
 @settings(max_examples=25, deadline=None)
 @given(schedules(), interval_sets_in(max_parts=2), interval_sets_in(max_parts=2))
 def test_series_invariants_hold_for_random_systems(sch, a, b):

@@ -311,7 +311,7 @@ def _cmd_density(args, _system, budget: PropagationBudget) -> tuple[dict, dict]:
 
 def _cmd_kvn(args, sch: Schedule | None, budget: PropagationBudget) -> tuple[dict, dict]:
     thresholds = DEFAULT_THRESHOLDS
-    if args.thresholds:
+    if args.thresholds is not None:
         thresholds = tuple(_json_list(args.thresholds, _json_rational))
     params: dict = {"thresholds": [_fr(t) for t in thresholds]}
     if args.values is not None:

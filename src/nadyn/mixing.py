@@ -233,7 +233,9 @@ def extract_exceptional_set(
     if any(v < 0 for v in values):
         raise ValueError("values must be nonnegative")
     thresholds = tuple(thresholds)
-    if not thresholds or any(t <= 0 for t in thresholds):
+    if not thresholds:
+        raise ValueError("need at least one threshold")
+    if any(t <= 0 for t in thresholds):
         raise ValueError("thresholds must be positive")
     if any(t1 <= t2 for t1, t2 in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be strictly decreasing")

@@ -7,6 +7,9 @@ errors) and rough analysis of non-PL maps the exact engine rejects.
 Estimates from non-PL maps carry an estimate-only flag downstream.
 
 Same seed, same estimate: sampling is deterministic given the config.
+Samples are drawn, propagated and counted in blocks of ``_BLOCK``, so one
+block stays in cache across every step and memory does not grow with the
+sample count.
 """
 
 from __future__ import annotations
@@ -14,12 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .intervals import Interval, IntervalSet
 from .plmaps import PLMap, Schedule, check_within
+
+_BLOCK = 1 << 15  # samples per block: 256 KB of doubles
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,6 +65,17 @@ def _compile_plmap(m: PLMap) -> Callable[[np.ndarray], np.ndarray]:
     ]
     slopes = np.array([float(p.slope) for p in m.pieces])
     intercepts = np.array([float(p.intercept) for p in m.pieces])
+
+    if not uppers:
+        s0, b0 = slopes[0], intercepts[0]
+
+        def affine(xs: np.ndarray) -> np.ndarray:
+            # the IEEE operations of the gathers below with every index 0
+            ys = xs * s0
+            ys += b0
+            return ys
+
+        return affine
 
     def step(xs: np.ndarray) -> np.ndarray:
         # the piece index is the number of interior ends below x: one
@@ -128,6 +144,14 @@ def _as_float_schedule(system: Schedule | FloatSchedule) -> FloatSchedule:
     return FloatSchedule.from_schedule(system)
 
 
+def _samples(cfg: SampleConfig, lo: float, hi: float) -> Iterator[np.ndarray]:
+    # each double takes one draw of the generator, so the blocks are exactly
+    # the doubles of one uniform(lo, hi, cfg.sample_count)
+    rng = np.random.default_rng(cfg.seed)
+    for start in range(0, cfg.sample_count, _BLOCK):
+        yield rng.uniform(lo, hi, min(_BLOCK, cfg.sample_count - start))
+
+
 def _member_mask(s: IntervalSet, xs: np.ndarray) -> np.ndarray:
     # openness flags matter even here: a constant piece parks positive
     # mass exactly on an endpoint, so strict/non-strict cannot be fudged;
@@ -161,12 +185,10 @@ def mc_correlation(
     fs = _as_float_schedule(system)
     check_within(a, fs.domain, "A =")
     check_within(b, fs.domain, "B =")
-    rng = np.random.default_rng(cfg.seed)
-    xs = rng.uniform(fs.lo, fs.hi, cfg.sample_count)
-    in_a = _member_mask(a, xs)
-    ys = fs.orbit(xs, n)
-    hits = in_a & _member_mask(b, ys)
-    p_hat = float(np.count_nonzero(hits)) / cfg.sample_count
+    hits = 0
+    for xs in _samples(cfg, fs.lo, fs.hi):
+        hits += np.count_nonzero(_member_mask(a, xs) & _member_mask(b, fs.orbit(xs, n)))
+    p_hat = float(hits) / cfg.sample_count
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / cfg.sample_count)
     return p_hat, stderr
 
@@ -190,8 +212,9 @@ def mc_separation(
     fs = _as_float_schedule(system)
     if not (fs.lo <= x <= fs.hi):
         raise ValueError(f"x = {x} outside the domain [{fs.lo}, {fs.hi}]")
-    rng = np.random.default_rng(cfg.seed)
-    ys = rng.uniform(max(fs.lo, x - epsilon), min(fs.hi, x + epsilon), cfg.sample_count)
     fx = fs.orbit(np.array([x]), n)[0]
-    fy = fs.orbit(ys, n)
-    return float(np.max(np.abs(fy - fx)))
+    widest = -np.inf
+    for ys in _samples(cfg, max(fs.lo, x - epsilon), min(fs.hi, x + epsilon)):
+        # np.maximum, like np.max, propagates a NaN
+        widest = np.maximum(widest, np.max(np.abs(fs.orbit(ys, n) - fx)))
+    return float(widest)

@@ -324,6 +324,10 @@ class TestExitCodes:
          'expected an integer or a rational string "p/q", got JSON "true"'),
         (["kvn", "--values", '["1/2",null]'],
          'expected an integer or a rational string "p/q", got JSON "null"'),
+        # an empty --thresholds is a malformed list, not the default ladder
+        (["kvn", "--values", "[1]", "--thresholds", ""],
+         "expected a JSON list: Expecting value: line 1 column 1 (char 0)"),
+        (["kvn", "--values", "[1]", "--thresholds", "[]"], "need at least one threshold"),
         (["kvn", "--values", "[1]", "--thresholds", "[[%s]]" % ",".join(["1"] * 40)],
          'expected an integer or a rational string "p/q", got JSON "[%s…" (81 characters)'
          % ",".join(["1"] * 30)[:59]),

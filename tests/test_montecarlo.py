@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -23,7 +24,7 @@ from nadyn import (
     prefix_image,
     write_system_file,
 )
-from nadyn.montecarlo import _compile_plmap, _member_mask
+from nadyn.montecarlo import _BLOCK, _compile_plmap, _member_mask, _samples
 from nadyn.sysio import parse_mc_system_file
 from randgen import UNIT, interval_sets_in, plmaps, rand_schedule
 
@@ -276,6 +277,57 @@ class TestFloatScheduleConstructor:
         fs = parse_mc_system_file(str(path))
         assert not fs.estimate_only
         assert_same_orbits(fs, FloatSchedule.from_schedule(sch))
+
+
+def whole_array_correlation(fs, a, b, n, cfg):
+    """Reference estimate: every sample drawn and propagated in one array."""
+    xs = np.random.default_rng(cfg.seed).uniform(fs.lo, fs.hi, cfg.sample_count)
+    hits = _member_mask(a, xs) & _member_mask(b, fs.orbit(xs, n))
+    p_hat = float(np.count_nonzero(hits)) / cfg.sample_count
+    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / cfg.sample_count)
+
+
+def whole_array_separation(fs, x, epsilon, n, cfg):
+    """Reference separation: one array of samples, one maximum."""
+    rng = np.random.default_rng(cfg.seed)
+    ys = rng.uniform(max(fs.lo, x - epsilon), min(fs.hi, x + epsilon), cfg.sample_count)
+    fx = fs.orbit(np.array([x]), n)[0]
+    return float(np.max(np.abs(fs.orbit(ys, n) - fx)))
+
+
+STREAMED = [FloatSchedule.from_schedule(sch) for sch in SCHEDULES] + [TestDomain.LOGISTIC]
+
+
+class TestStreaming:
+    """Blocks of samples give the doubles, estimates and maxima of one whole array."""
+
+    @pytest.mark.parametrize("count", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+    @pytest.mark.parametrize("fs", STREAMED)
+    def test_equals_the_whole_array_bit_for_bit(self, fs, count):
+        cfg = SampleConfig(count, seed=count)
+        a, b = IntervalSet.parse("[0,1/2]"), IntervalSet.parse(["(1/8,1/4]", "[1/3,3/4)"])
+        for n in (0, 1, 7):
+            assert mc_correlation(fs, a, b, n, cfg) == whole_array_correlation(fs, a, b, n, cfg)
+            got = mc_separation(fs, 0.3, 0.1, n, cfg)
+            assert got == whole_array_separation(fs, 0.3, 0.1, n, cfg)
+
+    def test_a_nan_orbit_is_a_nan_separation(self):
+        # 1e300 * x**2 overflows to inf, and inf - inf is NaN
+        fs = FloatSchedule.from_steps(0.0, 1.0, (), (QuadraticMap(0.0, 1e300, 1e300),))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(mc_separation(fs, 0.5, 0.25, 2, SampleConfig(_BLOCK + 1)))
+
+    def test_blocks_are_the_doubles_of_one_draw(self):
+        count = 3 * _BLOCK + 7
+        whole = np.random.default_rng(4).uniform(-0.5, 2.0, count)
+        blocks = list(_samples(SampleConfig(count, seed=4), -0.5, 2.0))
+        assert [len(xs) for xs in blocks] == [_BLOCK] * 3 + [7]
+        assert np.array_equal(np.concatenate(blocks), whole)
+
+    def test_a_huge_sample_count_yields_its_first_block_at_once(self):
+        # a whole draw of 10**12 doubles would need 8 TB
+        first = next(_samples(SampleConfig(10**12, seed=9), 0.0, 1.0))
+        assert np.array_equal(first, np.random.default_rng(9).uniform(0.0, 1.0, 2 * _BLOCK)[:_BLOCK])
 
 
 def test_matches_exact_engine_on_the_desk_instance():

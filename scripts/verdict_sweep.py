@@ -2,9 +2,11 @@
 """Sweep random PL schedules and tabulate the three grid verdicts.
 
 Checks the implication chain (mixing => weak mixing => transitivity) on
-every draw and prints how often each property is witnessed at the chosen
-resolution. Useful for eyeballing how much the verdicts separate at a
-given (grid, horizon).
+every draw, and that each verdict lists every row exactly once: k^2 cell
+pairs for transitivity and mixing, k^4 pairs of pairs for weak mixing, on
+a grid of k cells. Prints how often each property is witnessed at the
+chosen resolution. Useful for eyeballing how much the verdicts separate
+at a given (grid, horizon).
 """
 
 import argparse
@@ -19,6 +21,7 @@ from randgen import rand_schedule  # noqa: E402
 
 from nadyn import (  # noqa: E402
     mixing_verdict,
+    open_grid,
     parse_rational,
     transitivity_verdict,
     weakmix_verdict,
@@ -40,10 +43,16 @@ def run(count: int, seed: int, grid: Fraction, horizon: int, mixing_bias: bool) 
         if (mix.witnessed and not weak.witnessed) or (weak.witnessed and not trans.witnessed):
             violations += 1
             print(f"  LATTICE VIOLATION at draw {i}", file=sys.stderr)
+        k = len(open_grid(sch.domain, grid))
+        for v, rows in ((mix, k**2), (weak, k**4), (trans, k**2)):
+            if len(v.witnesses) + len(v.unhit) != rows:
+                violations += 1
+                print(f"  LISTING VIOLATION at draw {i}: {v.property_name} lists "
+                      f"{len(v.witnesses)} + {len(v.unhit)} rows, not {rows}", file=sys.stderr)
     print(f"schedules: {count}   grid: {grid}   horizon: {horizon}   seed: {seed}")
     for name in ("mixing", "weak_mixing", "transitivity"):
         print(f"  witnessed {name:<13} {tally[name]:>4} / {count}")
-    print(f"  lattice violations   {violations:>4}")
+    print(f"  violations           {violations:>4}")
     return 1 if violations else 0
 
 

@@ -45,7 +45,7 @@ from .mixing import (
     density_stats,
     extract_exceptional_set,
 )
-from .montecarlo import FloatSchedule, SampleConfig, mc_correlation, mc_separation
+from .montecarlo import FloatSchedule, SampleConfig, _double, mc_correlation, mc_separation
 from .plmaps import (
     BUNDLED_EXAMPLE_NAMES,
     DEFAULT_BUDGET,
@@ -158,19 +158,15 @@ def _verdict_json(v: Verdict, sch: Schedule) -> dict:
         doc["tail"] = v.tail
     if v.grid is not None:
         cells = [str(c) for c in open_grid(sch.domain, v.grid)]
-        if v.property_name == "weak_mixing":
+        if v.witnesses.pairs:
             # one list per cell pair, shared by every row that names it
-            pairs = [[cu, cw] for cu in cells for cw in cells]
-            doc["witnesses"] = [{"pair1": p1, "pair2": p2, "n": n}
-                                for p1, p2, n in v.witnesses.rows(pairs)]
-            doc["unhit"] = [{"pair1": p1, "pair2": p2} for p1, p2, _ in v.unhit.rows(pairs)]
+            labels, first, second = [[cu, cw] for cu in cells for cw in cells], "pair1", "pair2"
         else:
-            key = "tail_start" if v.property_name == "mixing" else "n"
-            doc["witnesses"] = [
-                {"U": cells[w[0][0]], "V": cells[w[0][1]], key: w[1]}
-                for w in v.witnesses
-            ]
-            doc["unhit"] = [{"U": cells[p[0]], "V": cells[p[1]]} for p in v.unhit]
+            labels, first, second = cells, "U", "V"
+        score = "tail_start" if v.property_name == "mixing" else "n"
+        doc["witnesses"] = [{first: a, second: b, score: n}
+                            for a, b, n in v.witnesses.rows(labels)]
+        doc["unhit"] = [{first: a, second: b} for a, b, _ in v.unhit.rows(labels)]
     if v.certificate is not None:
         c = v.certificate
         doc["certificate"] = {
@@ -367,10 +363,11 @@ def _cmd_sensitivity(args, sch: Schedule, budget: PropagationBudget) -> tuple[di
 def _cmd_mc(args, fs: FloatSchedule, budget: PropagationBudget) -> tuple[dict, dict]:
     cfg = SampleConfig(sample_count=args.samples, seed=args.seed)
     params = {"n": args.n, "samples": args.samples, "seed": args.seed}
-    if args.x is not None:
-        if args.epsilon is None:
-            raise MalformedInput("separation mode needs both --x and --epsilon")
-        value = mc_separation(fs, float(args.x), float(args.epsilon), args.n, cfg)
+    if (args.x, args.epsilon) != (None, None):
+        if None in (args.x, args.epsilon) or (args.A, args.B) != (None, None):
+            raise MalformedInput("separation mode needs --x and --epsilon, and no --A or --B")
+        value = mc_separation(fs, _double(args.x, "--x"), _double(args.epsilon, "--epsilon"),
+                              args.n, cfg)
         params.update({"mode": "separation", "x": args.x, "epsilon": args.epsilon})
         result = {"max_separation": value}
     else:

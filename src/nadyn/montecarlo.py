@@ -21,7 +21,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .intervals import Interval, IntervalSet
+from .errors import MalformedInput
+from .intervals import Interval, IntervalSet, _quoted
 from .plmaps import PLMap, Schedule, check_within
 
 _BLOCK = 1 << 15  # samples per block: 256 KB of doubles
@@ -55,16 +56,28 @@ class QuadraticMap:
         return ys
 
 
+def _double(value, name: str) -> float:
+    """float(value), or MalformedInput naming a value that has no double.
+
+    A text may be no number, and a valid exact system may hold one past 1.8e308.
+    """
+    try:
+        return float(value)
+    except (ValueError, OverflowError):
+        raise MalformedInput(f"{name} {_quoted(str(value))} is not a number in the range "
+                             "of a double") from None
+
+
 def _compile_plmap(m: PLMap) -> Callable[[np.ndarray], np.ndarray]:
     # a breakpoint goes to the piece whose end is closed there, as in the exact
     # engine (doubling sends 1/2 to 0, not 1): an open end is compared as the
     # double just below it, so the breakpoint itself counts as past it
-    uppers = [
-        np.nextafter(float(p.on.hi), -np.inf) if p.on.hi_open else float(p.on.hi)
-        for p in m.pieces[:-1]
-    ]
-    slopes = np.array([float(p.slope) for p in m.pieces])
-    intercepts = np.array([float(p.intercept) for p in m.pieces])
+    uppers = []
+    for p in m.pieces[:-1]:
+        hi = _double(p.on.hi, "piece end")
+        uppers.append(np.nextafter(hi, -np.inf) if p.on.hi_open else hi)
+    slopes = np.array([_double(p.slope, "slope") for p in m.pieces])
+    intercepts = np.array([_double(p.intercept, "intercept") for p in m.pieces])
 
     if not uppers:
         s0, b0 = slopes[0], intercepts[0]
@@ -109,8 +122,8 @@ class FloatSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "domain", Interval(Fraction(self.lo), Fraction(self.hi)))
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
+        object.__setattr__(self, "lo", _double(self.lo, "domain end"))
+        object.__setattr__(self, "hi", _double(self.hi, "domain end"))
 
     @classmethod
     def from_schedule(cls, sch: Schedule) -> "FloatSchedule":

@@ -144,45 +144,46 @@ def recheck_certificate(cert: InvariantSetCertificate, sch: Schedule) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class PairPairs:
-    """One side of a weak-mixing listing, kept by mask class and expanded when read.
+    """One side of a grid verdict's listing, kept as a score table and expanded when read.
 
-    Cell pair p = (u, v) of the k-cell grid has the mask class
-    classes[u*k + v], and two pairs of classes c1 and c2 first hit together
-    at least[c1][c2] (0: never within the horizon).  The hit side lists the
-    rows ((p1, p2), n) with n nonzero, the other side the rows (p1, p2) with
-    no common hit, both p1-major and p2-minor.  Its length comes from the
-    class counts; the rows are built only when iterated.
+    The items are the k grid cells, or with ``pairs`` the k^2 cell pairs
+    (u, v), u-major.  Item i has the class classes[i], and the row (i, j)
+    scores table[classes[i]][classes[j]] (0: none within the horizon).  The
+    hit side lists the rows ((i, j), n) with n nonzero, the other side the
+    rows (i, j) scoring 0, both i-major and j-minor.  Its length comes from
+    the class counts; the rows are built only when iterated.
     """
 
     k: int
+    pairs: bool
     classes: tuple[int, ...]
-    least: tuple[tuple[int, ...], ...]
+    table: tuple[tuple[int, ...], ...]
     hit: bool
 
     def __len__(self) -> int:
         counts = Counter(self.classes)
-        return sum(counts[c1] * counts[c2] for c1, row in enumerate(self.least)
+        return sum(counts[c1] * counts[c2] for c1, row in enumerate(self.table)
                    for c2, n in enumerate(row) if bool(n) == self.hit)
 
     def rows(self, labels: list) -> Iterator[tuple]:
-        """This side's rows (labels[p1], labels[p2], n), p1-major and p2-minor.
+        """This side's rows (labels[i], labels[j], n), i-major and j-minor.
 
-        n is the least common hitting time, 0 on the unhit side.  Every first
-        pair of mask class c1 shares one template of second pairs and times.
+        n is the row's score, 0 on the unhit side.  Every first item of class
+        c1 shares one template of second items and scores.
         """
         templates = []
-        for row in self.least:
-            times = [row[c2] for c2 in self.classes]
-            keep = [bool(n) == self.hit for n in times]
-            templates.append((list(compress(labels, keep)), list(compress(times, keep))))
+        for row in self.table:
+            scores = [row[c2] for c2 in self.classes]
+            keep = [bool(n) == self.hit for n in scores]
+            templates.append((list(compress(labels, keep)), list(compress(scores, keep))))
         return chain.from_iterable(zip(repeat(first), *templates[c1])
                                    for first, c1 in zip(labels, self.classes))
 
     def __iter__(self) -> Iterator[tuple]:
-        rows = self.rows([(u, v) for u in range(self.k) for v in range(self.k)])
-        if self.hit:
-            return (((p1, p2), n) for p1, p2, n in rows)
-        return ((p1, p2) for p1, p2, _ in rows)
+        k = self.k
+        items = [(u, v) for u in range(k) for v in range(k)] if self.pairs else range(k)
+        for i, j, n in self.rows(items):
+            yield ((i, j), n) if self.hit else (i, j)
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,11 +192,10 @@ class Verdict:
 
     witnesses maps each tested pair (or pair of pairs) to a concrete
     hitting index; unhit lists the pairs that block a WITNESSED verdict.
-    Transitivity and mixing list cell pairs in plain tuples; weak mixing
-    lists pairs of pairs as PairPairs, which keep the k^4 rows by mask
-    class and build them only when read.  tail is the mixing tail start
-    (mixing property only).  A CERTIFIED_FAIL verdict carries the
-    underlying certificate.
+    A grid verdict keeps both as PairPairs, a score table whose rows are
+    built only when read; they are empty for a CERTIFIED_FAIL verdict,
+    which carries the underlying certificate instead.  tail is the mixing
+    tail start (mixing property only).
     """
 
     property_name: str
@@ -296,30 +296,18 @@ def _least_bit(mask: int) -> int:
     return (mask & -mask).bit_length()  # 1-based hitting index; 0 for no bit
 
 
-def _pairwise(masks, score) -> tuple[tuple, tuple]:
-    """Witnesses ((u, v), score) for the cell pairs scoring nonzero, and the unhit rest."""
-    witnesses = []
-    unhit = []
-    for ui, row in enumerate(masks):
-        for vi, mask in enumerate(row):
-            n = score(mask)
-            if n:
-                witnesses.append(((ui, vi), n))
-            else:
-                unhit.append((ui, vi))
-    return tuple(witnesses), tuple(unhit)
-
-
-def _verdict(name: str, g, horizon: int, witnesses, unhit, tail=None) -> Verdict:
+def _verdict(name: str, g, horizon: int, k: int, pairs: bool, classes, table,
+             tail=None) -> Verdict:
     """WITNESSED_UP_TO with the tail when no pair is unhit, else INCONCLUSIVE."""
+    unhit = any(0 in row for row in table)
     return Verdict(
         property_name=name,
         kind=INCONCLUSIVE if unhit else WITNESSED_UP_TO,
         grid=as_rational(g),
         horizon=horizon,
         tail=None if unhit else tail,
-        witnesses=witnesses,
-        unhit=unhit,
+        witnesses=PairPairs(k, pairs, classes, table, True),
+        unhit=PairPairs(k, pairs, classes, table, False),
     )
 
 
@@ -335,7 +323,9 @@ def transitivity_verdict(
     invariant-set certificate.
     """
     _, masks = hitting_matrix(sch, g, horizon, budget)
-    return _verdict("transitivity", g, horizon, *_pairwise(masks, _least_bit))
+    table = tuple(tuple(map(_least_bit, row)) for row in masks)
+    return _verdict("transitivity", g, horizon, len(masks), False, tuple(range(len(masks))),
+                    table)
 
 
 def weakmix_verdict(
@@ -358,9 +348,7 @@ def weakmix_verdict(
     class_of = {mask: c for c, mask in enumerate(distinct)}
     classes = tuple(map(class_of.__getitem__, flat))
     least = tuple(tuple(_least_bit(m1 & m2) for m2 in distinct) for m1 in distinct)
-    k = len(masks)
-    return _verdict("weak_mixing", g, horizon, PairPairs(k, classes, least, True),
-                    PairPairs(k, classes, least, False))
+    return _verdict("weak_mixing", g, horizon, len(masks), True, classes, least)
 
 
 def mixing_verdict(
@@ -377,9 +365,9 @@ def mixing_verdict(
         start = (full & ~mask).bit_length() + 1  # first index past the last miss
         return start if start <= horizon else 0
 
-    witnesses, unhit = _pairwise(masks, tail_start)
-    tail = max((n for _, n in witnesses), default=None)
-    return _verdict("mixing", g, horizon, witnesses, unhit, tail)
+    table = tuple(tuple(map(tail_start, row)) for row in masks)
+    return _verdict("mixing", g, horizon, len(masks), False, tuple(range(len(masks))),
+                    table, max(map(max, table)))
 
 
 def certified_fail_verdict(

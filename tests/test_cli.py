@@ -20,14 +20,19 @@ from nadyn import (
     cesaro_deviation,
     correlation_series,
     format_rational,
+    mixing_verdict,
     open_grid,
     parse_system_file,
+    transitivity_verdict,
     weakmix_verdict,
     write_system_file,
 )
 from nadyn import cli
 from nadyn.cli import main
 from randgen import interval_sets_in, schedules
+
+GRID_VERDICTS = {"transitivity": transitivity_verdict, "mixing": mixing_verdict,
+                 "weakmix": weakmix_verdict}
 
 
 def run_cli(capsys, *argv):
@@ -301,6 +306,8 @@ class TestExitCodes:
         (["z" * 200, "--x", "0"], 4, 400),
         (["verify", "z" * 200], 4, 250),
         (["eval", "--system", "tent", "--x", "0", "z" * 200], 2, 200),
+        (["mc", "--system", "tent", "--x", "z" * 200, "--epsilon", "0.1", "--n", "1"], 2, 200),
+        (["mc", "--system", "tent", "--x", "0.3", "--epsilon", "z" * 200, "--n", "1"], 2, 200),
     ])
     def test_an_echoed_name_is_cut_after_60_characters(self, capsys, argv, code, bound):
         assert main(argv) == code
@@ -318,6 +325,13 @@ class TestExitCodes:
         (["eval", "--system", "tent", "--x", "0", "--y", "1"],
          'unrecognized arguments: "--y 1"'),
         (["verify"], "the following arguments are required: name"),
+        # an option of the other mc mode is an error, not dropped
+        (["mc", "--system", "tent", "--epsilon", "0.1", "--A", "[0,1]", "--B", "[0,1]",
+          "--n", "1"], "separation mode needs --x and --epsilon, and no --A or --B"),
+        (["mc", "--system", "tent", "--x", "0.3", "--epsilon", "0.1", "--B", "[0,1]",
+          "--n", "1"], "separation mode needs --x and --epsilon, and no --A or --B"),
+        (["mc", "--system", "tent", "--epsilon", "0.1", "--n", "1"],
+         "separation mode needs --x and --epsilon, and no --A or --B"),
         # a JSON list of exact values reads each item as a system file reads a slope
         (["kvn", "--values", "[0.5]"], 'float literal 0.5 not accepted; write "1/2"'),
         (["kvn", "--values", "[true]"],
@@ -523,6 +537,9 @@ def quadratic_file(tmp_path, coeffs):
     return str(path)
 
 
+BIG = "1" + "0" * 400  # an exact integer past the largest double
+
+
 class TestSystemFileErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -559,6 +576,23 @@ class TestSystemFileErrors:
                      "--x", "0.3", "--epsilon", "0.01", "--n", "4", "--samples", "10"])
         captured = capsys.readouterr()
         assert code == 2 and "finite" in strict_json(captured.err)["detail"]
+
+    @pytest.mark.parametrize("domain,pieces,name", [
+        ("[0,%s]" % BIG, [{"on": "[0,%s]" % BIG, "slope": "1", "intercept": "0"}],
+         "domain end"),
+        ("[0,1]", [{"on": "[0,1/%s]" % BIG, "slope": BIG, "intercept": "0"},
+                   {"on": "(1/%s,1]" % BIG, "slope": "1", "intercept": "0"}], "slope"),
+    ], ids=["domain_end", "slope"])
+    def test_mc_rejects_an_exact_number_past_a_double(self, tmp_path, capsys, domain, pieces,
+                                                      name):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"domain": domain, "cycle": [{"pieces": pieces}]}))
+        sets = ["--A", domain, "--B", domain]
+        assert run_cli(capsys, "correlate", "--system", str(path), *sets, "--N", "1")[0] == 0
+        code, _, err = run_cli(capsys, "mc", "--system", str(path), *sets, "--n", "1",
+                               "--samples", "10")
+        assert code == 2 and err["detail"] == '%s "%s…" (401 characters) is not a number ' \
+                                              "in the range of a double" % (name, BIG[:60])
 
     def test_logistic_map_still_loads_and_reports_strict_json(self, tmp_path, capsys):
         code = main(["mc", "--system", quadratic_file(tmp_path, ["0", "4", "-4"]),
@@ -751,26 +785,29 @@ class TestCommandTable:
             captured = capsys.readouterr()
             assert not captured.out and captured.err == compact(captured.err), argv
 
+    @pytest.mark.parametrize("command", list(GRID_VERDICTS))
     @pytest.mark.parametrize("system,kind", [
         ("tent", "WITNESSED_UP_TO"), ("example31", "INCONCLUSIVE"),
     ])
-    def test_weakmix_listings_match_the_library(self, capsys, system, kind):
-        code, doc, _ = run_cli(capsys, "weakmix", "--system", system, "--grid", "1/8",
+    def test_verdict_listings_match_the_library(self, capsys, command, system, kind):
+        code, doc, _ = run_cli(capsys, command, "--system", system, "--grid", "1/8",
                                "--H", "12")
         sch = bundled_example(system)
-        verdict = weakmix_verdict(sch, F(1, 8), 12)
+        verdict = GRID_VERDICTS[command](sch, F(1, 8), 12)
         cells = [str(c.parts[0]) for c in open_grid(sch.domain, F(1, 8))]
-        witnesses = [
-            {"pair1": [cells[u1], cells[v1]], "pair2": [cells[u2], cells[v2]], "n": n}
-            for ((u1, v1), (u2, v2)), n in verdict.witnesses
-        ]
-        unhit = [
-            {"pair1": [cells[u1], cells[v1]], "pair2": [cells[u2], cells[v2]]}
-            for (u1, v1), (u2, v2) in verdict.unhit
-        ]
+        if command == "weakmix":
+            def names(p1, p2):
+                return {"pair1": [cells[p1[0]], cells[p1[1]]],
+                        "pair2": [cells[p2[0]], cells[p2[1]]]}
+        else:
+            def names(u, v):
+                return {"U": cells[u], "V": cells[v]}
+        score = "tail_start" if command == "mixing" else "n"
+        witnesses = [{**names(*item), score: n} for item, n in verdict.witnesses]
+        unhit = [names(*item) for item in verdict.unhit]
         assert code == 0 and doc["result"]["kind"] == verdict.kind == kind
         assert doc["result"]["witnesses"] == witnesses and doc["result"]["unhit"] == unhit
-        assert len(witnesses) + len(unhit) == len(cells) ** 4
+        assert len(witnesses) + len(unhit) == len(cells) ** (4 if command == "weakmix" else 2)
 
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_help(self, capsys, command):

@@ -7,11 +7,12 @@ existed: every image step asks every cell ``meets``.
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nadyn import (
     DEFAULT_BUDGET,
+    INCONCLUSIVE,
     WITNESSED_UP_TO,
     BudgetExceeded,
     GridMismatch,
@@ -57,6 +58,37 @@ def reference_weakmix_listing(masks):
             else:
                 unhit.append((p1, p2))
     return tuple(witnesses), tuple(unhit)
+
+
+def reference_cell_listing(masks, score):
+    """Every ordered cell pair, u-major and v-minor, split by a nonzero score."""
+    k = len(masks)
+    witnesses, unhit = [], []
+    for u in range(k):
+        for v in range(k):
+            n = score(masks[u][v])
+            if n:
+                witnesses.append(((u, v), n))
+            else:
+                unhit.append((u, v))
+    return tuple(witnesses), tuple(unhit)
+
+
+def reference_transitivity_listing(masks):
+    """Each cell pair's least hitting time, by scanning its bits."""
+    return reference_cell_listing(
+        masks, lambda mask: next((n for n in range(1, mask.bit_length() + 1)
+                                  if mask >> (n - 1) & 1), 0))
+
+
+def reference_mixing_listing(masks, horizon):
+    """Each cell pair's least N hit at every n in {N..horizon}, by scanning down."""
+    def tail_start(mask):
+        n = horizon
+        while n >= 1 and mask >> (n - 1) & 1:
+            n -= 1
+        return n + 1 if n < horizon else 0
+    return reference_cell_listing(masks, tail_start)
 
 
 # domains: the unit interval, one not starting at 0, example31's, a negative one
@@ -159,6 +191,23 @@ def test_weakmix_by_class_expands_to_the_brute_force_listing(system):
     assert (tuple(v.witnesses), tuple(v.unhit)) == (witnesses, unhit)
     assert (len(v.witnesses), len(v.unhit)) == (len(witnesses), len(unhit))
     assert v.witnessed == (not unhit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_systems())
+@example((bundled_example("tent"), F(1), 3))  # one cell: as many cells as cell pairs
+def test_cell_listings_equal_the_brute_force_listings(system):
+    sch, g, horizon = system
+    _, masks = reference_matrix(sch, g, horizon)
+    for v, (witnesses, unhit) in [
+        (transitivity_verdict(sch, g, horizon), reference_transitivity_listing(masks)),
+        (mixing_verdict(sch, g, horizon), reference_mixing_listing(masks, horizon)),
+    ]:
+        assert (tuple(v.witnesses), tuple(v.unhit)) == (witnesses, unhit)
+        assert (len(v.witnesses), len(v.unhit)) == (len(witnesses), len(unhit))
+        assert v.kind == (INCONCLUSIVE if unhit else WITNESSED_UP_TO)
+        tail = None if unhit or v.property_name != "mixing" else max(n for _, n in witnesses)
+        assert v.tail == tail
 
 
 def test_weakmix_at_256_cells_is_decided_without_its_listing():

@@ -12,6 +12,7 @@ from nadyn import (
     FloatSchedule,
     Interval,
     IntervalSet,
+    MalformedInput,
     OutOfDomain,
     QuadraticMap,
     SampleConfig,
@@ -30,6 +31,7 @@ from randgen import UNIT, interval_sets_in, plmaps, rand_schedule
 
 TENT = bundled_example("tent")
 HALF = IntervalSet.parse("[0,1/2]")
+BIG = F(10**400)
 
 
 class TestDeterminism:
@@ -233,6 +235,20 @@ class TestDomain:
         assert fs.domain == third and fs.hi == float(F(1, 3)) < F(1, 3)
         whole = IntervalSet((third,))
         assert mc_correlation(fs, whole, whole, 1, SampleConfig(100)) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("domain,pieces,name", [
+        (Interval(0, BIG), [(Interval(0, BIG), 1, 0)], "domain end"),
+        (UNIT, [(Interval(0, 1 / BIG), BIG, 0), (Interval(1 / BIG, 1, lo_open=True), 1, 0)],
+         "slope"),
+    ], ids=["domain_end", "slope"])
+    def test_an_exact_number_past_a_double_is_malformed_input(self, domain, pieces, name):
+        sch = Schedule.constant(make_plmap(domain, pieces))
+        whole = IntervalSet((domain,))
+        assert correlation_series(sch, whole, whole, 1).values  # the exact engine runs it
+        with pytest.raises(MalformedInput) as exc:
+            mc_correlation(sch, whole, whole, 1, SampleConfig(10))
+        assert str(exc.value) == f'{name} "{"1" + "0" * 59}…" (401 characters) ' \
+                                 "is not a number in the range of a double"
 
 
 def assert_same_orbits(a: FloatSchedule, b: FloatSchedule, n: int = 12) -> None:

@@ -32,7 +32,6 @@ from .errors import (
     MalformedInput,
     NotExtractable,
     NotInvariant,
-    OutOfDomain,
     UnknownExample,
 )
 from .intervals import IntervalSet, _quoted, format_rational as _fr, parse_rational
@@ -52,6 +51,7 @@ from .plmaps import (
     PropagationBudget,
     Schedule,
     bundled_example,
+    check_within,
     prefix_image,
     prefix_preimage,
 )
@@ -228,8 +228,7 @@ def _cmd_eval(args, sch: Schedule, budget: PropagationBudget) -> tuple[dict, dic
     x = parse_rational(args.x)
     if args.n < 0:
         raise MalformedInput("n must be >= 0")
-    if not sch.domain.contains(x):  # checked here too, for zero steps
-        raise OutOfDomain(f"{x} is not in the domain {sch.domain}")
+    check_within(x, sch.domain, "x =")  # checked here too, for zero steps
     value = x
     for i in range(args.n):
         value = sch.map_at(i).eval_point(value)

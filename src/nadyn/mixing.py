@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import HorizonExceeded, NotExtractable
-from .intervals import IntervalSet
+from .intervals import IntervalSet, _quoted
 from .plmaps import DEFAULT_BUDGET, PropagationBudget, Schedule, check_within, propagate
 
 #: Default threshold ladder for exceptional-set extraction: 1/2 .. 1/256.
@@ -179,7 +179,8 @@ def cesaro_deviation(series: CorrelationSeries, n: int) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > series.horizon:
-        raise HorizonExceeded(f"n = {n} exceeds the series horizon {series.horizon}")
+        raise HorizonExceeded(
+            f"n = {_quoted(str(n))} exceeds the series horizon {series.horizon}")
     return sum(series.deviations[:n], Fraction(0)) / n
 
 

@@ -28,7 +28,7 @@ from .errors import (
     PieceOverlap,
     UnknownExample,
 )
-from .intervals import Interval, IntervalSet, as_rational, canonicalize, piecewise_affine
+from .intervals import Interval, IntervalSet, _quoted, as_rational, canonicalize, piecewise_affine
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,7 +98,7 @@ class PLMap:
         for on, slope, intercept in self._forward:
             if on.contains_point(x):
                 return slope * x + intercept
-        raise OutOfDomain(f"{x} is not in the domain {self.domain}")
+        check_within(x, self.domain, "x =")  # the pieces tile the domain, so this raises
 
     def image_set(self, s: IntervalSet) -> IntervalSet:
         """Exact forward image of a subset of the domain."""
@@ -202,10 +202,10 @@ def propagate(
         yield s
 
 
-def check_within(s: IntervalSet, domain: Interval, label: str = "set") -> None:
-    """Raise OutOfDomain unless s lies in the domain; ``label`` names s in the message."""
-    if not s.within(domain):
-        raise OutOfDomain(f"{label} {s} is not contained in the domain {domain}")
+def check_within(s: IntervalSet | Fraction, domain: Interval, label: str = "set") -> None:
+    """Raise OutOfDomain unless the set or point s lies in the domain; ``label`` names s."""
+    if not (s.within(domain) if isinstance(s, IntervalSet) else domain.contains(s)):
+        raise OutOfDomain(f"{label} {_quoted(str(s))} is not in the domain {domain}")
 
 
 def prefix_image(

@@ -28,10 +28,11 @@ from .errors import (
     DegeneratePair,
     GridMismatch,
     NotInvariant,
+    OutOfDomain,
     ScaleMismatch,
 )
-from .intervals import Interval, IntervalSet, as_rational
-from .plmaps import DEFAULT_BUDGET, PropagationBudget, Schedule, propagate
+from .intervals import Interval, IntervalSet, _quoted, as_rational
+from .plmaps import DEFAULT_BUDGET, PropagationBudget, Schedule, check_within, propagate
 
 CERTIFIED_FAIL = "CERTIFIED_FAIL"
 WITNESSED_UP_TO = "WITNESSED_UP_TO"
@@ -74,6 +75,8 @@ def hitting_set(
     """Exact membership for every n in {1..horizon} via forward images."""
     if u.is_empty or v.is_empty:
         raise ValueError("U and V must be nonempty")
+    check_within(u, sch.domain, "U =")
+    check_within(v, sch.domain, "V =")
     _check_horizon(horizon)
     members = tuple(
         n
@@ -106,6 +109,9 @@ def invariant_set_certificate(
     """Check the three certificate conditions exactly; raise NotInvariant."""
     if u.is_empty or v.is_empty or w.is_empty:
         raise ValueError("U, V, W must be nonempty")
+    check_within(u, sch.domain, "U =")
+    check_within(v, sch.domain, "V =")
+    check_within(w, sch.domain, "W =")
     first = sch.map_at(0).image_set(u)
     if not first.subset_of(w):
         raise NotInvariant(
@@ -129,10 +135,10 @@ def invariant_set_certificate(
 
 
 def recheck_certificate(cert: InvariantSetCertificate, sch: Schedule) -> bool:
-    """Re-run the certificate conditions from scratch."""
+    """Re-run the certificate conditions, the domain rule included, from scratch."""
     try:
         invariant_set_certificate(sch, cert.u, cert.v, cert.w)
-    except NotInvariant:
+    except (NotInvariant, OutOfDomain):
         return False
     return True
 
@@ -173,7 +179,8 @@ class PairPairs:
         """
         templates = []
         for row in self.table:
-            scores = [row[c2] for c2 in self.classes]
+            kept = any(row) if self.hit else 0 in row  # else c1 keeps no row, builds no template
+            scores = [row[c2] for c2 in self.classes] if kept else []
             keep = [bool(n) == self.hit for n in scores]
             templates.append((list(compress(labels, keep)), list(compress(scores, keep))))
         return chain.from_iterable(zip(repeat(first), *templates[c1])
@@ -217,10 +224,10 @@ def _cell_bounds(domain: Interval, g, error: type, noun: str) -> list[tuple]:
     g = as_rational(g)
     length = domain.hi - domain.lo
     if g <= 0 or g > length:
-        raise error(f"{noun} width {g} does not fit the domain {domain}")
+        raise error(f"{noun} width {_quoted(str(g))} does not fit the domain {domain}")
     cells = length / g
     if cells.denominator != 1:
-        raise error(f"{noun} width {g} does not divide the domain length {length}")
+        raise error(f"{noun} width {_quoted(str(g))} does not divide the domain length {length}")
     return [(domain.lo + i * g, domain.lo + (i + 1) * g) for i in range(int(cells))]
 
 

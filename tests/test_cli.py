@@ -43,6 +43,16 @@ def run_cli(capsys, *argv):
     return code, doc, err
 
 
+LONG_POINT = "2" + "0" * 299  # 300 digits, past the end of every bundled domain
+LONG_SET = f"[{LONG_POINT},3{'0' * 299}]"
+LONG_GRID = "3/1" + "0" * 300  # 3/10^300 does not divide a domain of length 1
+
+
+def echoes_a_run(text: str, arg: str, run: int = 61) -> bool:
+    """True iff text holds some ``run`` consecutive characters of arg."""
+    return any(arg[i:i + run] in text for i in range(len(arg) - run + 1))
+
+
 class TestSystemFiles:
     @pytest.mark.parametrize(
         "name", ["tent", "doubling", "example31", "tent_doubling_alternating"]
@@ -404,26 +414,30 @@ class TestExitCodes:
         assert all(name in err["detail"] for name in cli.SCENARIOS)
 
     @pytest.mark.parametrize("argv,detail", [
-        (["eval", "--system", "tent", "--x", "2"], "2 is not in the domain [0,1]"),
+        (["eval", "--system", "tent", "--x", "2"], 'x = "2" is not in the domain [0,1]'),
         (["transitivity", "--system", "tent", "--grid", "2/5", "--H", "4"],
-         "grid width 2/5 does not divide the domain length 1"),
+         'grid width "2/5" does not divide the domain length 1'),
         (["sensitivity", "--system", "tent", "--delta", "1/8", "--scale", "2/5", "--H", "4"],
-         "cell width 2/5 does not divide the domain length 1"),
+         'cell width "2/5" does not divide the domain length 1'),
         (["cesaro", "--system", "tent", "--A", "[0,1/2]", "--B", "[0,1/2]",
-          "--N", "4", "--n", "5"], "n = 5 exceeds the series horizon 4"),
+          "--N", "4", "--n", "5"], 'n = "5" exceeds the series horizon 4'),
         # zero steps keep the domain rule of one step
-        (["eval", "--system", "tent", "--x", "5", "--n", "0"], "5 is not in the domain [0,1]"),
+        (["eval", "--system", "tent", "--x", "5", "--n", "0"],
+         'x = "5" is not in the domain [0,1]'),
         (["image", "--system", "tent", "--set", "[2,3]", "--n", "0"],
-         "set [2,3] is not contained in the domain [0,1]"),
+         'set "[2,3]" is not in the domain [0,1]'),
         (["image", "--system", "tent", "--set", "[2,3]", "--n", "1"],
-         "set [2,3] is not contained in the domain [0,1]"),
+         'set "[2,3]" is not in the domain [0,1]'),
         # the estimator keeps the exact engine's rule for A and B
         (["correlate", "--system", "tent", "--A", "[1/2,3]", "--B", "[0,1]", "--N", "1"],
-         "A = [1/2,3] is not contained in the domain [0,1]"),
+         'A = "[1/2,3]" is not in the domain [0,1]'),
         (["mc", "--system", "tent", "--A", "[1/2,3]", "--B", "[0,1]", "--n", "1",
-          "--samples", "1000"], "A = [1/2,3] is not contained in the domain [0,1]"),
+          "--samples", "1000"], 'A = "[1/2,3]" is not in the domain [0,1]'),
         (["mc", "--system", "tent", "--A", "[0,1]", "--B", "(1,2]", "--n", "1",
-          "--samples", "1000"], "B = (1,2] is not contained in the domain [0,1]"),
+          "--samples", "1000"], 'B = "(1,2]" is not in the domain [0,1]'),
+        # every set a request names is checked, also one that is never walked
+        (["hitting", "--system", "tent", "--U", "[0,1/2]", "--V", "[2,3]", "--H", "3"],
+         'V = "[2,3]" is not in the domain [0,1]'),
     ])
     def test_requests_that_do_not_fit_the_system_exit_2(self, capsys, argv, detail):
         code = main(argv)
@@ -432,6 +446,29 @@ class TestExitCodes:
         assert strict_json(captured.err) == {
             "command": argv[0], "error": "malformed_input", "detail": detail,
         }
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--system", "tent", "--x", LONG_POINT],
+        ["image", "--system", "tent", "--set", LONG_SET, "--n", "1"],
+        ["hitting", "--system", "tent", "--U", LONG_SET, "--V", "[0,1]", "--H", "3"],
+        ["hitting", "--system", "tent", "--U", "[0,1]", "--V", LONG_SET, "--H", "3"],
+        ["correlate", "--system", "tent", "--A", LONG_SET, "--B", "[0,1]", "--N", "1"],
+        ["mc", "--system", "tent", "--A", LONG_SET, "--B", "[0,1]", "--n", "1",
+         "--samples", "10"],
+        ["transitivity", "--system", "tent", "--grid", LONG_GRID, "--H", "3"],
+        ["mixing", "--system", "tent", "--grid", LONG_POINT, "--H", "3"],
+        ["sensitivity", "--system", "tent", "--delta", "1/8", "--scale", LONG_GRID, "--H", "3"],
+        ["cesaro", "--system", "tent", "--A", "[0,1/2]", "--B", "[0,1/2]", "--N", "4",
+         "--n", "9" * 1000],
+    ], ids=["eval", "image", "hitting_U", "hitting_V", "correlate", "mc", "transitivity",
+            "mixing", "sensitivity", "cesaro"])
+    def test_a_long_argument_that_does_not_fit_is_cut_after_60_characters(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert not captured.out and len(captured.err.encode()) < 250
+        strict_json(captured.err)
+        long = max(argv, key=len)
+        assert not echoes_a_run(captured.err, long), captured.err
 
     @pytest.mark.parametrize("cls", [OutOfDomain, GridMismatch, ScaleMismatch, HorizonExceeded])
     def test_exit_2_is_one_exception_family(self, cls):

@@ -4,7 +4,9 @@ Arguments are drawn per flag from curated token pools (valid and malformed
 rationals, sets, JSON lists, system files that are missing, directories or
 malformed) over the option specs of ``cli.COMMANDS``. Sizes stay small:
 step counts and horizons at most 8, at most 1000 Monte Carlo samples
-when ``--samples`` is given.
+when ``--samples`` is given. Long points, sets and grids that do not fit
+the system check that no diagnostic echoes more than 60 characters of an
+argument other than a file path.
 """
 
 import json
@@ -13,15 +15,27 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nadyn import cli
-from test_cli import strict_json
+from test_cli import echoes_a_run, strict_json
+
+# long tokens that do not fit any system here: a diagnostic may echo 60 characters of each
+LONG = "2" + "0" * 299
+LONG_POINTS = [LONG, "-" + LONG]
+LONG_SETS = [f"[1/2,{LONG}]", f'["[0,1/4]","[{LONG},{LONG}1]"]']
+# 7/10^300 divides neither 1 nor 3/2; the others are too wide or not positive
+LONG_GRIDS = ["7/1" + "0" * 300, LONG, "-" + LONG]
 
 # per flag: (valid tokens, malformed tokens); a drawn token is malformed one time in seven
 SETS = (["[0,1/2]", "(0,1/4)", "[0,1]", "(3/4,1]", '["[0,1/4]","(3/4,1]"]', "[]"],
-        ["[1,0]", "(1/2,1/2)", "(0,1", '["x"]', "[0,2]", "[0,0.5]", "", "@missing.json"])
+        ["[1,0]", "(1/2,1/2)", "(0,1", '["x"]', "[0,2]", "[0,0.5]", "", "@missing.json",
+         *LONG_SETS])
 INTS = (["0", "1", "3", "8"], ["-1", "", "x", "2.5", "1e3"])
 FLOATS = (["0.3", "0.0625", "1"], ["-1", "nan", "inf", "1e400", "1/2", "x", ""])
-RATIONALS = (["0", "1/3", "1/2", "5/4"], ["-1/2", "3/2", "1/0", "0.5", "", "x", "1e3"])
-GRIDS = (["1/2", "1/4", "1/3", "1/8"], ["1", "2", "0", "-1/4", "1/0", "0.25", "x", ""])
+RATIONALS = (["0", "1/3", "1/2", "5/4"],
+             ["-1/2", "3/2", "1/0", "0.5", "", "x", "1e3", *LONG_POINTS])
+GRIDS = (["1/2", "1/4", "1/3", "1/8"],
+         ["1", "2", "0", "-1/4", "1/0", "0.25", "x", "", *LONG_GRIDS])
+# README: file paths are echoed whole
+PATH_FLAGS = {"--system", "--out", "--csv"}
 LISTS = ["[1.5]", "[true]", '{"a": 1}', '["1/0"]', "[NaN]", "x", "", "@missing.json"]
 POOLS = {
     "--x": RATIONALS, ("mc", "--x"): FLOATS, "--epsilon": FLOATS,
@@ -105,5 +119,10 @@ def test_every_argv_ends_in_a_json_diagnostic_or_report(tmp_path, capsys, monkey
             if text:
                 strict_json(text)
         assert (code == 0) == (not captured.err), (argv, code, captured.err)
+        if captured.err:
+            shown = " ".join(map(str, strict_json(captured.err).values()))
+            for flag, token in zip(["", *argv], argv):
+                if flag not in PATH_FLAGS and not token.startswith("@"):
+                    assert not echoes_a_run(shown, token), (argv, captured.err)
 
     run()

@@ -28,6 +28,7 @@ from nadyn import (
     transitivity_verdict,
     weakmix_verdict,
 )
+from nadyn.plmaps import check_within
 from randgen import UNIT, interval_sets_in, intervals_in, maps_with_sets, plmaps, schedules
 
 TENT = bundled_example("tent")
@@ -152,6 +153,34 @@ class TestEvalPoint:
             TENT.cycle[0].eval_point(F(3, 2))
 
 
+class TestCheckWithin:
+    """One rule decides and words every out-of-domain error, for points and sets."""
+
+    @pytest.mark.parametrize("point", [F(0), F(1, 2), F(1)])
+    def test_a_point_in_the_closed_domain_passes(self, point):
+        check_within(point, UNIT, "x =")
+
+    @pytest.mark.parametrize("point,text", [(F(3, 2), "3/2"), (F(-1, 3), "-1/3")])
+    def test_a_point_outside(self, point, text):
+        with pytest.raises(OutOfDomain) as exc:
+            check_within(point, UNIT, "x =")
+        assert str(exc.value) == f'x = "{text}" is not in the domain [0,1]'
+
+    def test_a_set_outside(self):
+        with pytest.raises(OutOfDomain) as exc:
+            check_within(IntervalSet.parse(["[0,1/4]", "(3/4,3/2]"]), UNIT, "A =")
+        assert str(exc.value) == 'A = "[0,1/4] ∪ (3/4,3/2]" is not in the domain [0,1]'
+
+    def test_a_long_echo_is_cut_after_60_characters(self):
+        big = F(2 * 10 ** 299)
+        with pytest.raises(OutOfDomain) as exc:
+            check_within(big, UNIT, "x =")
+        assert str(exc.value) == (
+            f'x = "2{"0" * 59}…" (300 characters) is not in the domain [0,1]')
+        with pytest.raises(OutOfDomain, match=r"^x = .* \(300 characters\)"):
+            TENT.cycle[0].eval_point(big)
+
+
 class TestImages:
     def test_tent_folds(self):
         assert TENT.cycle[0].image_set(iset("[1/4,3/4]")) == iset("[1/2,1]")
@@ -214,7 +243,7 @@ class TestPrefixOps:
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_prefix_image_outside_the_domain_for_any_step_count(self, n):
-        with pytest.raises(OutOfDomain, match=r"set \[2,3\] is not contained in the domain \[0,1\]"):
+        with pytest.raises(OutOfDomain, match=r'^set "\[2,3\]" is not in the domain \[0,1\]$'):
             prefix_image(TENT, iset("[2,3]"), n)
 
     def test_prefix_preimage_zero_steps_keeps_only_the_domain_part(self):

@@ -12,7 +12,9 @@ from nadyn import (
     GridMismatch,
     Interval,
     IntervalSet,
+    InvariantSetCertificate,
     NotInvariant,
+    OutOfDomain,
     ScaleMismatch,
     Schedule,
     bundled_example,
@@ -53,6 +55,11 @@ class TestHittingSet:
     def test_domain_hits_itself(self):
         full = iset("[0,1]")
         assert hitting_set(TENT, full, full, 3).members == (1, 2, 3)
+
+    @pytest.mark.parametrize("u,v,label", [("[2,3]", "[0,1]", "U"), ("[0,1/2]", "[2,3]", "V")])
+    def test_u_and_v_must_lie_in_the_domain(self, u, v, label):
+        with pytest.raises(OutOfDomain, match=rf'^{label} = "\[2,3\]" is not in the domain'):
+            hitting_set(TENT, iset(u), iset(v), 3)
 
 
 class TestGrids:
@@ -151,6 +158,14 @@ class TestInvariantSetCertificate:
         with pytest.raises(NotInvariant) as exc:
             invariant_set_certificate(TENT, iset("(0,1/4)"), iset("(3/4,1)"), iset("[0,1]"))
         assert exc.value.condition == "separation"
+
+    @pytest.mark.parametrize("label", ["U", "V", "W"])
+    def test_every_set_must_lie_in_the_domain(self, label):
+        sets = {"U": iset("(0,1)"), "V": iset("(1,3/2)"), "W": iset("[0,1]"), label: iset("[2,3]")}
+        with pytest.raises(OutOfDomain, match=rf'^{label} = "\[2,3\]" is not in the domain'):
+            invariant_set_certificate(E31, sets["U"], sets["V"], sets["W"])
+        forged = InvariantSetCertificate(w=sets["W"], u=sets["U"], v=sets["V"], checked_maps=1)
+        assert not recheck_certificate(forged, E31)
 
     def test_certified_fail_verdict_wrapper(self):
         cert = invariant_set_certificate(E31, iset("(0,1)"), iset("(1,3/2)"), iset("[0,1]"))

@@ -62,15 +62,16 @@ class OutOfDomain(MalformedInput):
 class BudgetExceeded(NadynError):
     """Interval-set part count exceeded the propagation budget.
 
-    Raised hard: no truncated result is ever returned.
+    Raised hard: no truncated result is ever returned.  Step 0 refuses a
+    request before any step, and ``message`` then says what was charged.
     """
 
-    def __init__(self, step: int, parts: int, max_parts: int):
+    def __init__(self, step: int, parts: int, max_parts: int, message: str | None = None):
         self.step = step
         self.parts = parts
         self.max_parts = max_parts
         super().__init__(
-            f"part budget exceeded at step {step}: {parts} parts > {max_parts} allowed"
+            message or f"part budget exceeded at step {step}: {parts} parts > {max_parts} allowed"
         )
 
 

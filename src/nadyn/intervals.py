@@ -148,13 +148,9 @@ class Interval:
         return (self.lo, self.lo_open, self.hi, self.hi_open)
 
     def contains(self, x: Fraction) -> bool:
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and self.lo_open:
-            return False
-        if x == self.hi and self.hi_open:
-            return False
-        return True
+        # stated positively, so a float NaN, which compares false, lies in no interval
+        return ((self.lo < x or x == self.lo and not self.lo_open)
+                and (x < self.hi or x == self.hi and not self.hi_open))
 
 
 def _pairs(keys) -> Iterator[tuple[int, int]]:

@@ -143,7 +143,7 @@ class FloatSchedule:
             estimate_only=not all(isinstance(m, PLMap) for m in steps),
         )
 
-    map_at = Schedule.map_at  # the same eventually-periodic indexing rule
+    phase, map_at = Schedule.phase, Schedule.map_at  # the same eventually-periodic indexing
 
     def orbit(self, xs: np.ndarray, n: int) -> np.ndarray:
         for i in range(n):
@@ -216,15 +216,15 @@ def mc_separation(
     """Sampled maximum of |orbit(x) - orbit(y)| over y near x.
 
     y is drawn uniformly from the epsilon-ball around x clipped to the
-    domain; the result is a lower bound on the true supremum.
+    domain; the result is a lower bound on the true supremum.  x must lie
+    in the domain, as for ``eval_point``: OutOfDomain otherwise.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if not epsilon > 0:  # NaN included
         raise ValueError("epsilon must be positive")
     fs = _as_float_schedule(system)
-    if not (fs.lo <= x <= fs.hi):
-        raise ValueError(f"x = {x} outside the domain [{fs.lo}, {fs.hi}]")
+    check_within(x, fs.domain, "x =")
     fx = fs.orbit(np.array([x]), n)[0]
     widest = -np.inf
     for ys in _samples(cfg, max(fs.lo, x - epsilon), min(fs.hi, x + epsilon)):

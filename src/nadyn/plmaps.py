@@ -149,12 +149,16 @@ class Schedule:
         maps = tuple(maps)
         return cls((), maps, maps[0].domain)
 
-    def map_at(self, n: int) -> PLMap:
+    def phase(self, n: int) -> int:
+        """The position of map n in preamble + cycle: n in the preamble, then cycling."""
         if n < 0:
             raise ValueError("map index must be nonnegative")
-        if n < len(self.preamble):
-            return self.preamble[n]
-        return self.cycle[(n - len(self.preamble)) % len(self.cycle)]
+        p = len(self.preamble)
+        return n if n < p else p + (n - p) % len(self.cycle)
+
+    def map_at(self, n: int) -> PLMap:
+        i, p = self.phase(n), len(self.preamble)
+        return self.preamble[i] if i < p else self.cycle[i - p]
 
     def shift(self, m: int) -> "Schedule":
         """The schedule as seen from time m: shift.map_at(j) == map_at(m+j)."""
@@ -187,23 +191,40 @@ DEFAULT_BUDGET = PropagationBudget()
 
 def propagate(
     sch: Schedule, s: IntervalSet, steps: Iterable[int], budget: PropagationBudget,
-    *, inverse: bool = False,
+    *, inverse: bool = False, memo: dict | None = None,
 ) -> Iterator[IntervalSet]:
     """Yield s pushed through ``sch.map_at(i)`` for each i in steps, in turn.
 
     With ``inverse`` each step takes the preimage, so a preimage chain lists
     its map indices last to first.  Each yielded set has passed
-    ``budget.check``, with steps numbered from 1 along this chain.
+    ``budget.check``, with steps numbered from 1 along this chain.  A
+    ``memo`` dict maps each state stepped so far, ``(sch.phase(i), s.den,
+    s.keys)``, to its next set; chains of one direction that share it step
+    each distinct state once, and a state met again is looked up, its check
+    still counted along the chain that meets it.
     """
+    maps = sch.preamble + sch.cycle
     for step, i in enumerate(steps, start=1):
-        m = sch.map_at(i)
-        s = m.preimage_set(s) if inverse else m.image_set(s)
+        p = sch.phase(i)
+        # a canonical set is its (den, keys), which hash and compare in C
+        key = None if memo is None else (p, s.den, s.keys)
+        nxt = None if key is None else memo.get(key)
+        if nxt is None:
+            nxt = maps[p].preimage_set(s) if inverse else maps[p].image_set(s)
+            if key is not None:
+                memo[key] = nxt
+        s = nxt
         budget.check(step, s)
         yield s
 
 
-def check_within(s: IntervalSet | Fraction, domain: Interval, label: str = "set") -> None:
-    """Raise OutOfDomain unless the set or point s lies in the domain; ``label`` names s."""
+def check_within(
+    s: IntervalSet | Fraction | float, domain: Interval, label: str = "set"
+) -> None:
+    """Raise OutOfDomain unless the set or point s lies in the domain; ``label`` names s.
+
+    A float point is compared exactly, and NaN lies in no domain.
+    """
     if not (s.within(domain) if isinstance(s, IntervalSet) else domain.contains(s)):
         raise OutOfDomain(f"{label} {_quoted(str(s))} is not in the domain {domain}")
 

@@ -21,17 +21,20 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat
+from math import lcm
+from operator import xor
 from typing import Iterator
 
 from .errors import (
+    BudgetExceeded,
     DegeneratePair,
     GridMismatch,
     NotInvariant,
     OutOfDomain,
     ScaleMismatch,
 )
-from .intervals import Interval, IntervalSet, _quoted, as_rational
+from .intervals import Interval, IntervalSet, _canonical, _quoted, as_rational
 from .plmaps import DEFAULT_BUDGET, PropagationBudget, Schedule, check_within, propagate
 
 CERTIFIED_FAIL = "CERTIFIED_FAIL"
@@ -219,67 +222,101 @@ class Verdict:
         return self.kind == WITNESSED_UP_TO
 
 
-def _cell_bounds(domain: Interval, g, error: type, noun: str) -> list[tuple]:
-    """(lo, hi) of each cell of exact width g tiling the domain; g must divide it."""
-    g = as_rational(g)
+def _cell_count(domain: Interval, g: Fraction, error: type, noun: str) -> int:
+    """The number of cells of exact width g tiling the domain; g must divide it."""
     length = domain.hi - domain.lo
     if g <= 0 or g > length:
         raise error(f"{noun} width {_quoted(str(g))} does not fit the domain {domain}")
     cells = length / g
     if cells.denominator != 1:
         raise error(f"{noun} width {_quoted(str(g))} does not divide the domain length {length}")
-    return [(domain.lo + i * g, domain.lo + (i + 1) * g) for i in range(int(cells))]
+    return cells.numerator
+
+
+def _cells(domain: Interval, g: Fraction, error: type, noun: str) -> tuple[int, int, range]:
+    """The cells of exact width g tiling the domain, in integers: (den, w, starts).
+
+    Cell i runs from a/den to (a + w)/den, a the i-th item of starts.  g must
+    divide the domain length.
+    """
+    k = _cell_count(domain, g, error, noun)
+    lo = domain.lo
+    den = lcm(lo.denominator, g.denominator)
+    a, w = lo.numerator * (den // lo.denominator), g.numerator * (den // g.denominator)
+    return den, w, range(a, a + k * w, w)
 
 
 def open_grid(domain: Interval, g: Fraction) -> tuple[IntervalSet, ...]:
     """Open cells of exact width g tiling the domain; g must divide it."""
-    return tuple(
-        IntervalSet((Interval(lo, hi, True, True),))
-        for lo, hi in _cell_bounds(domain, g, GridMismatch, "grid")
-    )
+    den, w, starts = _cells(domain, as_rational(g), GridMismatch, "grid")
+    return tuple(_canonical(den, (4 * a + 1, 4 * (a + w) - 1)) for a in starts)
 
 
 def closed_grid(domain: Interval, g: Fraction) -> tuple[Interval, ...]:
-    return tuple(Interval(lo, hi) for lo, hi in _cell_bounds(domain, g, ScaleMismatch, "cell"))
+    den, w, starts = _cells(domain, as_rational(g), ScaleMismatch, "cell")
+    return tuple(Interval(Fraction(a, den), Fraction(a + w, den)) for a in starts)
 
 
 # matrices kept by hitting_matrix: the three verdicts of one (g, H) share one
 _MATRIX_MEMO_SIZE = 4
 
 
-def _cells_met(s: IntervalSet, start: Fraction, g: Fraction, k: int) -> Iterator[int]:
-    """Indices i < k of the open cells (start + i*g, start + (i+1)*g) that s meets.
+def _cell_cuts(s: IntervalSet, start: Fraction, g: Fraction, k: int) -> tuple[int, ...]:
+    """The open cells (start + i*g, start + (i+1)*g), i < k, that s meets, as cut indices.
 
-    A part with interior meets exactly the cells its span overlaps, whatever
-    its flags; a point meets a cell only strictly inside it.
+    Cell i is met iff an odd number of the cuts are <= i: the cuts are the
+    ends a, b of the merged ranges [a, b) of met cells.  A part with interior
+    meets exactly the cells its span overlaps, whatever its flags; a point
+    meets a cell only strictly inside it.  Two parts that meet one cell share
+    a range, so the cuts toggle each met cell exactly once.
     """
     # an end a/s.den lies (a*m - c)/d cells past start, in integers
     m = start.denominator * g.denominator
     c, d = start.numerator * s.den * g.denominator, s.den * start.denominator * g.numerator
+    cuts: list[int] = []
     for a, b, _, _ in s.ends():
-        if a == b:
-            i, r = divmod(a * m - c, d)
-            if r:
-                yield i
+        if a < b:
+            lo, hi = max(0, (a * m - c) // d), min(k, -((c - b * m) // d))
         else:
-            yield from range(max(0, (a * m - c) // d), min(k, -((c - b * m) // d)))
+            lo, r = divmod(a * m - c, d)
+            hi = lo + 1 if r else lo  # a point on a cell boundary meets no cell
+        if lo >= hi:
+            continue
+        if cuts and lo <= cuts[-1]:
+            cuts[-1] = max(cuts[-1], hi)
+        else:
+            cuts += (lo, hi)
+    return tuple(cuts)
 
 
 @lru_cache(maxsize=_MATRIX_MEMO_SIZE)
 def _hitting_matrix(
     sch: Schedule, g: Fraction, horizon: int, budget: PropagationBudget
 ) -> tuple[tuple[IntervalSet, ...], tuple[tuple[int, ...], ...]]:
-    cells = open_grid(sch.domain, g)
+    start, k = sch.domain.lo, _cell_count(sch.domain, g, GridMismatch, "grid")
     _check_horizon(horizon)
-    start, k = sch.domain.lo, len(cells)
+    # the k*k masks are charged as parts before any cell is built; a budget
+    # below the default bounds the sets, not the grid
+    cap = max(budget.max_parts, DEFAULT_BUDGET.max_parts)
+    if k * k > cap:
+        raise BudgetExceeded(0, k * k, cap, f"grid width {_quoted(str(g))} gives k = "
+                             f"{_quoted(str(k))} cells, whose k*k masks exceed {cap} parts")
+    cells = open_grid(sch.domain, g)
+    memo: dict = {}  # (phase, set) -> image, shared by every cell's chain
+    cuts: dict[tuple, tuple[int, ...]] = {}  # (den, keys) of each distinct image -> its cuts
     masks = []
     for cell in cells:
-        row = [0] * k
-        for n, cur in enumerate(propagate(sch, cell, range(horizon), budget), start=1):
+        # bit n-1 of tog[j] flips at each cut j of the n-step image; the row is the prefix xor
+        tog = [0] * (k + 1)
+        images = propagate(sch, cell, range(horizon), budget, memo=memo)
+        for n, cur in enumerate(images, start=1):
             bit = 1 << (n - 1)
-            for j in _cells_met(cur, start, g, k):
-                row[j] |= bit
-        masks.append(tuple(row))
+            met = cuts.get((cur.den, cur.keys))
+            if met is None:
+                met = cuts[cur.den, cur.keys] = _cell_cuts(cur, start, g, k)
+            for j in met:
+                tog[j] ^= bit
+        masks.append(tuple(accumulate(tog[:k], xor)))
     return cells, tuple(masks)
 
 
@@ -472,20 +509,28 @@ def sensitivity_certificate(
     if delta <= 0:
         raise ValueError("delta must be positive")
     _check_horizon(horizon)
-    cells = closed_grid(sch.domain, scale)
+    den, w, starts = _cells(sch.domain, scale, ScaleMismatch, "cell")
     goal = 2 * delta
+    gnum, gden = goal.numerator, goal.denominator
+
+    def wide(s: IntervalSet) -> bool:  # diameter > goal, in integers; s is an image, not empty
+        keys = s.keys
+        return (((keys[-1] + 1) >> 2) - ((keys[0] + 1) >> 2)) * gden > gnum * s.den
+
+    memo: dict = {}  # (phase, set) -> image, shared by every cell's chain
     found: list[CellWitness] = []
     failed: list[CellFailure] = []
-    for cell in cells:
-        whole = IntervalSet((cell,))
-        best = whole.diameter()
-        for n, cur in enumerate(propagate(sch, whole, range(horizon), budget), start=1):
-            d = cur.diameter()
-            best = max(best, d)
-            if d > goal:
-                found.append(CellWitness(cell=cell, n=n, diameter=d))
+    for a in starts:
+        cell = Interval(Fraction(a, den), Fraction(a + w, den))
+        seen = [_canonical(den, (4 * a, 4 * (a + w)))]
+        for n, cur in enumerate(propagate(sch, seen[0], range(horizon), budget, memo=memo),
+                                start=1):
+            if wide(cur):
+                found.append(CellWitness(cell=cell, n=n, diameter=cur.diameter()))
                 break
+            seen.append(cur)
         else:
+            best = max(map(IntervalSet.diameter, seen))
             failed.append(CellFailure(cell=cell, max_diameter=best))
     if failed:
         return SensitivityFailure(

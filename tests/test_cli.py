@@ -27,7 +27,7 @@ from nadyn import (
     weakmix_verdict,
     write_system_file,
 )
-from nadyn import cli
+from nadyn import cli, topology
 from nadyn.cli import main
 from randgen import interval_sets_in, schedules
 
@@ -438,6 +438,11 @@ class TestExitCodes:
         # every set a request names is checked, also one that is never walked
         (["hitting", "--system", "tent", "--U", "[0,1/2]", "--V", "[2,3]", "--H", "3"],
          'V = "[2,3]" is not in the domain [0,1]'),
+        # the estimator's point goes through the same rule as eval's
+        (["mc", "--system", "tent", "--x", "5", "--epsilon", "0.1", "--n", "1",
+          "--samples", "10"], 'x = "5.0" is not in the domain [0,1]'),
+        (["mc", "--system", "tent", "--x", "nan", "--epsilon", "0.1", "--n", "1",
+          "--samples", "10"], 'x = "nan" is not in the domain [0,1]'),
     ])
     def test_requests_that_do_not_fit_the_system_exit_2(self, capsys, argv, detail):
         code = main(argv)
@@ -483,6 +488,19 @@ class TestExitCodes:
         assert code == 3
         assert doc is None  # nothing truncated reaches stdout
         assert err["error"] == "budget_exceeded" and err["parts"] > 64
+
+    def test_a_grid_past_the_budget_is_refused_before_any_cell(self, capsys, monkeypatch):
+        # 10^5 cells: the 10^10 masks exceed the default 2^20 parts
+        def no_cells(*args):
+            raise AssertionError("cells built")
+        monkeypatch.setattr(topology, "open_grid", no_cells)
+        code, doc, err = run_cli(capsys, "transitivity", "--system", "tent",
+                                 "--grid", "1/100000", "--H", "1")
+        assert code == 3 and doc is None
+        assert (err["error"], err["step"], err["parts"], err["max_parts"]) == (
+            "budget_exceeded", 0, 10**10, 1 << 20)
+        assert err["detail"] == ('grid width "1/100000" gives k = "100000" cells, '
+                                 'whose k*k masks exceed 1048576 parts')
 
     def test_budget_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("NADYN_BUDGET", "64")

@@ -1,9 +1,13 @@
-"""The hitting matrix against a brute-force reference, and its memo.
+"""The two grid walks against plain references: the hitting matrix and its
+memo, and the sensitivity certificate.
 
-The reference is the k-target loop the verdicts used before the matrix
-existed: every image step asks every cell ``meets``.
+The matrix reference is the k-target loop the verdicts used before the
+matrix existed: every image step asks every cell ``meets``.  The
+sensitivity reference walks each cell's chain with ``propagate`` and no
+state memo, and compares ``Fraction`` diameters.
 """
 
+from collections import defaultdict
 from fractions import Fraction as F
 
 import pytest
@@ -17,14 +21,17 @@ from nadyn import (
     BudgetExceeded,
     GridMismatch,
     Interval,
+    IntervalSet,
     PropagationBudget,
     Schedule,
     bundled_example,
+    closed_grid,
     hitting_matrix,
     make_plmap,
     mixing_verdict,
     open_grid,
     propagate,
+    sensitivity_certificate,
     transitivity_verdict,
     weakmix_verdict,
 )
@@ -133,6 +140,65 @@ def grid_systems(draw):
     return Schedule(preamble, cycle, Interval(lo, hi)), g, draw(st.integers(1, 6))
 
 
+def reference_sensitivity(sch, delta, scale, horizon):
+    """Each closed cell's (cell, n, diameter) witness or (cell, max diameter) failure,
+    and the (phase, set) states each chain steps, with no memo."""
+    witnesses, failures, states = [], [], []
+    for cell in closed_grid(sch.domain, scale):
+        s = IntervalSet((cell,))
+        best = s.diameter()
+        for i, cur in enumerate(propagate(sch, s, range(horizon), DEFAULT_BUDGET)):
+            states.append((sch.phase(i), s))
+            s, d = cur, cur.diameter()
+            if d > 2 * delta:
+                witnesses.append((cell, i + 1, d))
+                break
+            best = max(best, d)
+        else:
+            failures.append((cell, best))
+    return witnesses, failures, states
+
+
+def assert_sensitivity_equals_reference(sch, delta, scale, horizon):
+    witnesses, failures, _ = reference_sensitivity(sch, delta, scale, horizon)
+    res = sensitivity_certificate(sch, delta, scale, horizon)
+    if failures:
+        assert not res.passed
+        assert [(f.cell, f.max_diameter) for f in res.failures] == failures
+    else:
+        assert res.passed
+        assert [(w.cell, w.n, w.diameter) for w in res.per_cell] == witnesses
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_systems(), st.integers(1, 16), st.booleans())
+def test_sensitivity_equals_propagate_reference(system, sixteenths, halve):
+    sch, g, horizon = system
+    delta = (sch.domain.hi - sch.domain.lo) * F(sixteenths, 32)
+    assert_sensitivity_equals_reference(sch, delta, g / 2 if halve else g, horizon)
+
+
+_UNIT = Interval(0, 1)
+_HALF_THEN_TENT = Schedule((make_plmap(_UNIT, [(_UNIT, F(1, 2), 0)]),),
+                           bundled_example("tent").cycle, _UNIT)
+
+
+@pytest.mark.parametrize("sch, delta, scale, horizon", [
+    (bundled_example("tent_doubling_alternating"), F(1, 2), F(1, 3), 8),
+    # [0,1/2] is a cell at the halving phase and the image of one at the tent phase
+    (_HALF_THEN_TENT, F(1, 4), F(1, 2), 3),
+], ids=["alternating", "preamble"])
+def test_sensitivity_steps_a_set_by_the_map_of_each_phase_it_recurs_at(
+        sch, delta, scale, horizon):
+    *_, states = reference_sensitivity(sch, delta, scale, horizon)
+    phases = defaultdict(set)
+    for phase, s in states:
+        phases[s].add(phase)
+    assert any(sch.map_at(p).image_set(s) != sch.map_at(q).image_set(s)
+               for s, ps in phases.items() for p in ps for q in ps)
+    assert_sensitivity_equals_reference(sch, delta, scale, horizon)
+
+
 @settings(max_examples=150, deadline=None)
 @given(grid_systems())
 def test_matrix_equals_meets_reference(system):
@@ -214,6 +280,31 @@ def test_weakmix_at_256_cells_is_decided_without_its_listing():
     v = weakmix_verdict(bundled_example("tent"), F(1, 256), 24)
     assert v.kind == WITNESSED_UP_TO
     assert len(v.witnesses) == 256**4 and not v.unhit
+
+
+class TestCellCap:
+    """The k*k masks are charged against the part budget before any cell is built."""
+
+    def test_1024_cells_fit_the_default_budget_and_1025_do_not(self):
+        tent = bundled_example("tent")
+        cells, masks = hitting_matrix(tent, F(1, 1024), 1)
+        assert len(cells) == len(masks) == 1024
+        with pytest.raises(BudgetExceeded) as exc:
+            hitting_matrix(tent, F(1, 1025), 1)
+        assert (exc.value.step, exc.value.parts, exc.value.max_parts) == (0, 1025**2, 1 << 20)
+
+    def test_a_larger_budget_allows_more_cells(self):
+        _, masks = hitting_matrix(bundled_example("tent"), F(1, 1025), 1,
+                                  PropagationBudget(1025**2))
+        assert len(masks) == 1025
+
+    @pytest.mark.parametrize("verdict", VERDICTS)
+    def test_a_smaller_budget_bounds_the_sets_not_the_grid(self, verdict):
+        # 1/64 gives 4096 masks, past a budget of 64 parts but within the default's
+        assert verdict(bundled_example("tent"), F(1, 64), 2, PropagationBudget(64)).horizon == 2
+        with pytest.raises(BudgetExceeded) as exc:
+            verdict(bundled_example("tent"), F(1, 2048), 1, PropagationBudget(64))
+        assert (exc.value.step, exc.value.max_parts) == (0, 1 << 20)
 
 
 class TestMemo:

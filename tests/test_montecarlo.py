@@ -179,6 +179,16 @@ class TestSeparation:
         got = mc_separation(TENT, 1 / 3, 1 / 16, 8, SampleConfig(1000, seed=3))
         assert got > 0.25
 
+    @pytest.mark.parametrize("x, text", [(5.0, "5.0"), (-0.5, "-0.5"), (math.nan, "nan")])
+    def test_a_point_outside_the_domain_is_worded_like_eval(self, x, text):
+        with pytest.raises(OutOfDomain) as exc:
+            mc_separation(TENT, x, 0.1, 1, SampleConfig(10))
+        assert str(exc.value) == f'x = "{text}" is not in the domain [0,1]'
+
+    def test_the_domain_ends_are_in_the_domain(self):
+        for x in (0.0, 1.0):
+            assert mc_separation(TENT, x, 0.1, 1, SampleConfig(10)) >= 0
+
     def test_isometry_never_spreads(self):
         flip = make_plmap(UNIT, [(UNIT, -1, 1)])
         sch = Schedule.constant(flip)

@@ -28,7 +28,7 @@ from nadyn import (
     transitivity_verdict,
     weakmix_verdict,
 )
-from nadyn.plmaps import check_within
+from nadyn.plmaps import PLMap, check_within
 from randgen import UNIT, interval_sets_in, intervals_in, maps_with_sets, plmaps, schedules
 
 TENT = bundled_example("tent")
@@ -166,6 +166,18 @@ class TestCheckWithin:
             check_within(point, UNIT, "x =")
         assert str(exc.value) == f'x = "{text}" is not in the domain [0,1]'
 
+    @pytest.mark.parametrize("point,text", [(1.5, "1.5"), (float("nan"), "nan"),
+                                            (float("-inf"), "-inf")])
+    def test_a_float_point_outside(self, point, text):
+        with pytest.raises(OutOfDomain) as exc:
+            check_within(point, UNIT, "x =")
+        assert str(exc.value) == f'x = "{text}" is not in the domain [0,1]'
+
+    def test_a_float_point_is_compared_exactly(self):
+        check_within(1.0, UNIT, "x =")
+        with pytest.raises(OutOfDomain):  # the double 0.1 lies just above 1/10
+            check_within(0.1, Interval(0, F(1, 10)), "x =")
+
     def test_a_set_outside(self):
         with pytest.raises(OutOfDomain) as exc:
             check_within(IntervalSet.parse(["[0,1/4]", "(3/4,3/2]"]), UNIT, "A =")
@@ -287,6 +299,33 @@ class TestPropagate:
                            inverse=True))
         assert (exc.value.step, exc.value.parts) == (2, 3)
 
+    def test_a_shared_memo_steps_each_state_once(self, monkeypatch):
+        s, calls = iset("[1/2,5/8]"), []
+        image_set = PLMap.image_set
+        monkeypatch.setattr(PLMap, "image_set", lambda m, s: calls.append(s) or image_set(m, s))
+        memo = {}
+        first = list(propagate(ALT, s, range(6), PropagationBudget(), memo=memo))
+        assert first == list(propagate(ALT, s, range(6), PropagationBudget()))
+        assert len(calls) == 6 + len(memo) == 6 + 5  # [0,1] recurs at the tent phase
+        assert list(propagate(ALT, s, range(6), PropagationBudget(), memo=memo)) == first
+        assert len(calls) == 11
+
+    def test_a_memo_keeps_phases_apart(self):
+        # the same set at an odd start meets doubling first, not tent
+        s, memo = iset("[1/2,5/8]"), {}
+        for steps in (range(4), range(1, 5), range(4), range(1, 5)):
+            plain = list(propagate(ALT, s, steps, PropagationBudget()))
+            assert list(propagate(ALT, s, steps, PropagationBudget(), memo=memo)) == plain
+
+    def test_a_memo_hit_is_checked_at_its_step_along_the_chain(self):
+        s, memo = iset("[0,1/2]"), {}
+        list(propagate(TENT, s, reversed(range(2)), PropagationBudget(), inverse=True, memo=memo))
+        for _ in range(2):  # both steps up to the overflow are memo hits
+            with pytest.raises(BudgetExceeded) as exc:
+                list(propagate(TENT, s, reversed(range(5)), PropagationBudget(2),
+                               inverse=True, memo=memo))
+            assert (exc.value.step, exc.value.parts) == (2, 3)
+
     def test_computes_only_the_steps_taken(self):
         # a third preimage would hold 5 parts; stopping after two never makes it
         chain = propagate(TENT, iset("[0,1/2]"), range(10), PropagationBudget(3),
@@ -300,6 +339,14 @@ class TestSchedule:
         assert sch.map_at(0) is TENT.cycle[0]
         for n in (1, 2, 5):
             assert sch.map_at(n) is DOUBLING.cycle[0]
+
+    def test_phase_names_the_map_at_each_index(self):
+        sch = Schedule((TENT.cycle[0],), ALT.cycle, UNIT)
+        assert [sch.phase(n) for n in range(6)] == [0, 1, 2, 1, 2, 1]
+        maps = sch.preamble + sch.cycle
+        assert all(sch.map_at(n) is maps[sch.phase(n)] for n in range(6))
+        with pytest.raises(ValueError):
+            sch.phase(-1)
 
     def test_shift_matches_map_at(self):
         sch = Schedule((TENT.cycle[0],), ALT.cycle, UNIT)

@@ -19,6 +19,7 @@ from nadyn import (
     Schedule,
     bundled_example,
     certified_fail_verdict,
+    closed_grid,
     hitting_set,
     invariant_set_certificate,
     make_plmap,
@@ -68,6 +69,15 @@ class TestGrids:
         assert len(cells) == 6
         assert str(cells[0].parts[0]) == "(0,1/4)"
         assert str(cells[5].parts[0]) == "(5/4,3/2)"
+
+    @pytest.mark.parametrize("lo, hi, k", [(0, 1, 8), (F(1, 3), F(7, 3), 6), (F(-1, 2), F(1, 4), 3),
+                                           (F(1, 6), F(5, 6), 4)])
+    def test_cells_equal_their_rational_ends(self, lo, hi, k):
+        domain, g = Interval(lo, hi), (F(hi) - lo) / k
+        ends = [(lo + i * g, lo + (i + 1) * g) for i in range(k)]
+        assert open_grid(domain, g) == tuple(IntervalSet((Interval(a, b, True, True),))
+                                             for a, b in ends)
+        assert closed_grid(domain, g) == tuple(Interval(a, b) for a, b in ends)
 
     def test_grid_mismatch(self):
         with pytest.raises(GridMismatch):

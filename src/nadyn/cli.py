@@ -531,6 +531,9 @@ def _build_parser(command: str) -> argparse.ArgumentParser:
     return p
 
 
+_JSON_INT_MAX = 2**53 - 1  # the largest integer every JSON reader holds exactly (RFC 7493)
+
+
 def _json_text(doc: dict) -> str:
     """One line of compact strict JSON (no NaN), written by json's C encoder."""
     return json.dumps(doc, separators=(",", ":"), allow_nan=False)
@@ -579,8 +582,10 @@ def main(argv: list[str] | None = None) -> int:
         _diagnostic(command, "malformed_input", e)
         return 2
     except BudgetExceeded as e:
+        # a refused grid may charge more parts than every JSON reader holds exactly
+        parts = e.parts if e.parts <= _JSON_INT_MAX else None
         _diagnostic(command, "budget_exceeded", e,
-                    step=e.step, parts=e.parts, max_parts=e.max_parts)
+                    step=e.step, parts=parts, max_parts=e.max_parts)
         return 3
     except UnknownExample as e:
         _diagnostic(command, "unknown_example", e)

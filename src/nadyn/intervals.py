@@ -348,35 +348,59 @@ class IntervalSet:
     __sub__ = subtract
 
 
-def piecewise_affine(s: IntervalSet, pieces) -> IntervalSet:
-    """The union over ``(part, slope, intercept)`` of ``slope*(s ∩ part) + intercept``.
+def affine_table(pieces) -> tuple[int, int, tuple]:
+    """The integer step constants of ``(part, slope, intercept)`` pieces: ``(pden, q, rows)``.
 
-    Each part is a one-part IntervalSet.  A piece whose slope is None gives
-    its intercept, a set, whole when s meets its part (the preimage of a
-    constant piece).  Each overlap is mapped key by key by an integer
-    multiply-add on one lattice, and the union is canonicalized once.
+    Each part is a one-part IntervalSet.  pden is the least common
+    denominator of the parts, and the image of a set over den lands on the
+    lattice lcm(den, pden) * q.  Row i holds part i's two keys over pden,
+    then ``m = slope * q`` and ``c0 = 4 * intercept * q``, both integers
+    since q is a multiple of each slope's and intercept's denominator.  A
+    piece whose slope is None (the preimage of a constant piece) gives its
+    intercept, a set, whole: its row holds None and that set's keys over q.
     """
-    den = lcm(s.den, *(part.den for part, _, _ in pieces))
-    keys = _scaled(s.keys, den // s.den)
-    # every image lands on the lattice of out = den * q
+    pieces = list(pieces)
+    pden = lcm(*(part.den for part, _, _ in pieces))
     q = lcm(*(intercept.den if slope is None else lcm(slope.denominator, intercept.denominator)
               for _, slope, intercept in pieces))
-    out = den * q
-    got: list[int] = []
+    rows = []
     for part, slope, intercept in pieces:
-        run = _overlaps(keys, *_scaled(part.keys, den // part.den))
+        keys = _scaled(part.keys, pden // part.den)
+        if slope is None:
+            rows.append((*keys, None, tuple(_scaled(intercept.keys, q // intercept.den))))
+        else:
+            rows.append((*keys, slope.numerator * (q // slope.denominator),
+                         4 * intercept.numerator * (q // intercept.denominator)))
+    return pden, q, tuple(rows)
+
+
+def piecewise_affine(s: IntervalSet, table) -> IntervalSet:
+    """The union over the pieces of :func:`affine_table` of ``slope*(s ∩ part) + intercept``.
+
+    Each overlap is found by binary search in the keys and mapped key by key
+    by an integer multiply-add on one lattice, and the union is
+    canonicalized once.  A constant piece's set is taken whole when s meets
+    its part.
+    """
+    pden, q, rows = table
+    den = lcm(s.den, pden)
+    keys = _scaled(s.keys, den // s.den)
+    f = den // pden - 1
+    got: list[int] = []
+    for lo, hi, m, c0 in rows:
+        if f:  # the part's keys on the finer lattice, as _scaled gives them
+            lo, hi = lo + f * (lo - ((lo + 1) & 3) + 1), hi + f * (hi - ((hi + 1) & 3) + 1)
+        run = _overlaps(keys, lo, hi)
         if not run:
             continue
-        if slope is None:
-            got += _scaled(intercept.keys, out // intercept.den)
+        if m is None:
+            got += _scaled(c0, den)
             continue
         # a key k = 4v + o (o the openness) goes to 4*m*v + c + sign(m)*o
-        m = slope.numerator * (q // slope.denominator)
-        c = 4 * intercept.numerator * (out // intercept.denominator)
-        d = m - (m > 0) + (m < 0)
+        c, d = den * c0, m - (m > 0) + (m < 0)
         mapped = [m * k + c - d * (((k + 1) & 3) - 1) for k in run]
         got += mapped if m >= 0 else reversed(mapped)
-    return _canonical(out, got)
+    return _canonical(den * q, got)
 
 
 EMPTY_SET = IntervalSet(())

@@ -200,7 +200,10 @@ def mc_correlation(
     check_within(b, fs.domain, "B =")
     hits = 0
     for xs in _samples(cfg, fs.lo, fs.hi):
-        hits += np.count_nonzero(_member_mask(a, xs) & _member_mask(b, fs.orbit(xs, n)))
+        # only a sample that starts in A can count; orbits are elementwise, so each
+        # orbit is the one it has in the whole block
+        starts = xs[_member_mask(a, xs)]
+        hits += np.count_nonzero(_member_mask(b, fs.orbit(starts, n)))
     p_hat = float(hits) / cfg.sample_count
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / cfg.sample_count)
     return p_hat, stderr

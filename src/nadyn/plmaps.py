@@ -28,7 +28,15 @@ from .errors import (
     PieceOverlap,
     UnknownExample,
 )
-from .intervals import Interval, IntervalSet, _quoted, as_rational, canonicalize, piecewise_affine
+from .intervals import (
+    Interval,
+    IntervalSet,
+    _canonical,
+    _quoted,
+    affine_table,
+    as_rational,
+    piecewise_affine,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,7 +61,7 @@ class PLMap:
 
     domain: Interval
     pieces: tuple[Piece, ...]
-    # (part, slope, intercept) triples for piecewise_affine, one per piece
+    # affine_table(...) step constants for piecewise_affine, built once here
     _forward: tuple = field(init=False, repr=False, compare=False)
     _backward: tuple = field(init=False, repr=False, compare=False)
 
@@ -64,11 +72,14 @@ class PLMap:
         pieces = tuple(sorted(self.pieces, key=lambda p: p.on.sort_key()))
         object.__setattr__(self, "pieces", pieces)
         ons = [IntervalSet((p.on,)) for p in pieces]
+        forward = affine_table((on, p.slope, p.intercept) for on, p in zip(ons, pieces))
+        pden, _, rows = forward
         # in sort_key order, pieces that miss their neighbours miss each other
-        for a, b, common in zip(pieces, pieces[1:], map(IntervalSet.intersect, ons, ons[1:])):
-            if not common.is_empty:
+        for a, b, (_, a_hi, _, _), (b_lo, b_hi, _, _) in zip(pieces, pieces[1:], rows, rows[1:]):
+            if b_lo <= a_hi:
+                common = _canonical(pden, (b_lo, min(a_hi, b_hi)))
                 raise PieceOverlap(f"pieces {a.on} and {b.on} overlap in {common}")
-        covered = canonicalize(p.on for p in pieces)
+        covered = _canonical(pden, [k for row in rows for k in row[:2]])
         whole = IntervalSet((d,))
         if covered != whole:  # canonical sets are equal iff they are the same point set
             outside = covered.subtract(whole)
@@ -76,10 +87,9 @@ class PLMap:
                 raise PieceOverlap(f"pieces cover {outside} outside the domain {d}")
             gap = whole.subtract(covered)
             raise PieceGap(f"pieces leave a gap: no piece covers {gap} of the domain {d}")
-        forward = tuple((on, p.slope, p.intercept) for on, p in zip(ons, pieces))
         backward = []
-        for p, on, step in zip(pieces, ons, forward):
-            img = piecewise_affine(on, (step,))
+        for p, on in zip(pieces, ons):
+            img = piecewise_affine(on, forward)  # on meets no other piece
             if not img.within(d):
                 raise NotSelfMap(
                     f"piece {p} maps onto {img}, outside the domain {d}",
@@ -90,14 +100,14 @@ class PLMap:
             inverse = (1 / p.slope, -p.intercept / p.slope) if p.slope else (None, on)
             backward.append((img, *inverse))
         object.__setattr__(self, "_forward", forward)
-        object.__setattr__(self, "_backward", tuple(backward))
+        object.__setattr__(self, "_backward", affine_table(backward))
 
     def eval_point(self, x) -> Fraction:
         """Exact value at a domain point."""
         x = as_rational(x)
-        for on, slope, intercept in self._forward:
-            if on.contains_point(x):
-                return slope * x + intercept
+        for p in self.pieces:
+            if p.on.contains(x):
+                return p.slope * x + p.intercept
         check_within(x, self.domain, "x =")  # the pieces tile the domain, so this raises
 
     def image_set(self, s: IntervalSet) -> IntervalSet:
@@ -201,16 +211,20 @@ def propagate(
     ``memo`` dict maps each state stepped so far, ``(sch.phase(i), s.den,
     s.keys)``, to its next set; chains of one direction that share it step
     each distinct state once, and a state met again is looked up, its check
-    still counted along the chain that meets it.
+    still counted along the chain that meets it.  A forward chain checks
+    that s lies in the domain once, at its first step (OutOfDomain); each
+    image after it is in the domain, since every map is a self-map.
     """
-    maps = sch.preamble + sch.cycle
+    tables = [m._backward if inverse else m._forward for m in sch.preamble + sch.cycle]
     for step, i in enumerate(steps, start=1):
+        if step == 1 and not inverse:
+            check_within(s, sch.domain)
         p = sch.phase(i)
         # a canonical set is its (den, keys), which hash and compare in C
         key = None if memo is None else (p, s.den, s.keys)
         nxt = None if key is None else memo.get(key)
         if nxt is None:
-            nxt = maps[p].preimage_set(s) if inverse else maps[p].image_set(s)
+            nxt = piecewise_affine(s, tables[p])
             if key is not None:
                 memo[key] = nxt
         s = nxt

@@ -257,6 +257,24 @@ def closed_grid(domain: Interval, g: Fraction) -> tuple[Interval, ...]:
     return tuple(Interval(Fraction(a, den), Fraction(a + w, den)) for a in starts)
 
 
+def _charge(budget: PropagationBudget, noun: str, width: Fraction, k: int, masks: bool) -> None:
+    """Refuse at step 0 a walk over k cells, or with masks their k*k masks, past the budget.
+
+    It runs before any cell is built.  The limit is never below the default
+    budget: a smaller budget bounds the sets, not the grid.
+    """
+    count, cap = k * k if masks else k, max(budget.max_parts, DEFAULT_BUDGET.max_parts)
+    if count <= cap:
+        return
+    try:
+        cells = _quoted(str(k))
+    except ValueError:  # past the interpreter's limit on int-to-text conversion
+        cells = f"at least 2^{k.bit_length() - 1}"
+    what = "whose k*k masks exceed" if masks else "which exceed"
+    raise BudgetExceeded(0, count, cap, f"{noun} width {_quoted(str(width))} gives k = "
+                         f"{cells} cells, {what} {cap} parts")
+
+
 # matrices kept by hitting_matrix: the three verdicts of one (g, H) share one
 _MATRIX_MEMO_SIZE = 4
 
@@ -295,12 +313,7 @@ def _hitting_matrix(
 ) -> tuple[tuple[IntervalSet, ...], tuple[tuple[int, ...], ...]]:
     start, k = sch.domain.lo, _cell_count(sch.domain, g, GridMismatch, "grid")
     _check_horizon(horizon)
-    # the k*k masks are charged as parts before any cell is built; a budget
-    # below the default bounds the sets, not the grid
-    cap = max(budget.max_parts, DEFAULT_BUDGET.max_parts)
-    if k * k > cap:
-        raise BudgetExceeded(0, k * k, cap, f"grid width {_quoted(str(g))} gives k = "
-                             f"{_quoted(str(k))} cells, whose k*k masks exceed {cap} parts")
+    _charge(budget, "grid", g, k, masks=True)
     cells = open_grid(sch.domain, g)
     memo: dict = {}  # (phase, set) -> image, shared by every cell's chain
     cuts: dict[tuple, tuple[int, ...]] = {}  # (den, keys) of each distinct image -> its cuts
@@ -509,6 +522,8 @@ def sensitivity_certificate(
     if delta <= 0:
         raise ValueError("delta must be positive")
     _check_horizon(horizon)
+    k = _cell_count(sch.domain, scale, ScaleMismatch, "cell")
+    _charge(budget, "cell", scale, k, masks=False)
     den, w, starts = _cells(sch.domain, scale, ScaleMismatch, "cell")
     goal = 2 * delta
     gnum, gden = goal.numerator, goal.denominator

@@ -502,6 +502,50 @@ class TestExitCodes:
         assert err["detail"] == ('grid width "1/100000" gives k = "100000" cells, '
                                  'whose k*k masks exceed 1048576 parts')
 
+    def test_a_refusal_past_every_json_integer_is_strict_json(self, capsys, monkeypatch):
+        # 10^3000 cells: k*k has 6,001 digits, past json's int limit from Python 3.11 on
+        def no_cells(*args):
+            raise AssertionError("cells built")
+        monkeypatch.setattr(topology, "open_grid", no_cells)
+        width = "1/1" + "0" * 3000
+        code, doc, err = run_cli(capsys, "transitivity", "--system", "tent",
+                                 "--grid", width, "--H", "1")
+        assert code == 3 and doc is None
+        assert (err["error"], err["step"], err["parts"], err["max_parts"]) == (
+            "budget_exceeded", 0, None, 1 << 20)
+        assert err["detail"].startswith(f'grid width "{width[:60]}…" (3003 characters) gives k')
+        assert not echoes_a_run(err["detail"], width)
+
+    def test_a_refusal_names_a_count_past_the_int_text_limit(self, capsys, tmp_path,
+                                                            monkeypatch):
+        # a 4,001-digit domain and width: k has about 8,000 digits
+        def unreached(*args, **kwargs):
+            raise AssertionError("a cell was stepped")
+        monkeypatch.setattr(topology, "propagate", unreached)
+        big = "1" + "0" * 4000
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"domain": f"[0,{big}]", "cycle": [
+            {"pieces": [{"on": f"[0,{big}]", "slope": "1", "intercept": "0"}]}]}))
+        code, doc, err = run_cli(capsys, "sensitivity", "--system", str(path), "--delta", "1",
+                                 "--scale", f"1/{big}", "--H", "1")
+        assert code == 3 and doc is None
+        assert (err["error"], err["step"], err["parts"]) == ("budget_exceeded", 0, None)
+        assert err["detail"].endswith(" cells, which exceed 1048576 parts")
+        assert not echoes_a_run(err["detail"], big)
+
+    def test_a_sensitivity_walk_past_the_budget_is_refused_before_any_cell(self, capsys,
+                                                                         monkeypatch):
+        def unreached(*args, **kwargs):
+            raise AssertionError("a cell was stepped")
+        monkeypatch.setattr(topology, "propagate", unreached)
+        code, doc, err = run_cli(capsys, "sensitivity", "--system", "tent", "--delta", "1/8",
+                                 "--scale", "1/10000000", "--H", "1")
+        assert code == 3 and doc is None
+        assert (err["error"], err["step"], err["parts"], err["max_parts"]) == (
+            "budget_exceeded", 0, 10**7, 1 << 20)
+        assert err["detail"] == ('cell width "1/10000000" gives k = "10000000" cells, '
+                                 'which exceed 1048576 parts')
+
     def test_budget_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("NADYN_BUDGET", "64")
         code, doc, _ = run_cli(

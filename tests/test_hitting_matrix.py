@@ -307,6 +307,34 @@ class TestCellCap:
         assert (exc.value.step, exc.value.max_parts) == (0, 1 << 20)
 
 
+    def test_a_sensitivity_walk_past_the_budget_is_refused_before_any_cell(self, monkeypatch):
+        def unreached(*args, **kwargs):
+            raise AssertionError("a cell was stepped")
+
+        monkeypatch.setattr("nadyn.topology.propagate", unreached)
+        with pytest.raises(BudgetExceeded) as exc:
+            sensitivity_certificate(bundled_example("tent"), F(1, 8), F(1, 10**7), 1,
+                                    PropagationBudget(64))
+        assert (exc.value.step, exc.value.parts, exc.value.max_parts) == (0, 10**7, 1 << 20)
+        assert str(exc.value) == ('cell width "1/10000000" gives k = "10000000" cells, '
+                                  'which exceed 1048576 parts')
+
+    @pytest.mark.parametrize("budget, k", [(DEFAULT_BUDGET, 1 << 20),
+                                           (PropagationBudget(1 << 21), 1 << 21)])
+    def test_a_sensitivity_walk_within_the_budget_reaches_its_cells(self, monkeypatch, budget, k):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr("nadyn.topology.propagate", reached)
+        with pytest.raises(Reached):
+            sensitivity_certificate(bundled_example("tent"), F(1, 8), F(1, k), 1, budget)
+        with pytest.raises(BudgetExceeded):
+            sensitivity_certificate(bundled_example("tent"), F(1, 8), F(1, k + 1), 1, budget)
+
+
 class TestMemo:
     @pytest.mark.parametrize("verdict", VERDICTS)
     def test_success_under_default_budget_does_not_mask_a_small_budget(self, verdict):

@@ -337,6 +337,32 @@ class TestStreaming:
             got = mc_separation(fs, 0.3, 0.1, n, cfg)
             assert got == whole_array_separation(fs, 0.3, 0.1, n, cfg)
 
+    @pytest.mark.parametrize("fs", STREAMED)
+    def test_orbiting_only_the_samples_in_a_counts_the_hits_of_every_orbit(self, fs):
+        cfg = SampleConfig(2 * _BLOCK + 5, seed=11)
+        b = IntervalSet.parse(["(1/8,1/4]", "[1/3,3/4)"])
+        for a in (EMPTY_SET, IntervalSet.parse(["[0,1/8]", "(1/4,1/2)"]), IntervalSet.parse("[0,1]")):
+            for n in (0, 1, 5):
+                # the old formula: every sample's orbit, then the mask of A
+                hits = sum(np.count_nonzero(_member_mask(a, xs) & _member_mask(b, fs.orbit(xs, n)))
+                           for xs in _samples(cfg, fs.lo, fs.hi))
+                p_hat = float(hits) / cfg.sample_count
+                stderr = math.sqrt(p_hat * (1.0 - p_hat) / cfg.sample_count)
+                assert mc_correlation(fs, a, b, n, cfg) == (p_hat, stderr)
+
+    def test_only_the_samples_in_a_are_orbited(self):
+        seen = []
+
+        def step(xs):
+            seen.append(xs)
+            return xs
+
+        fs = FloatSchedule.from_steps(0.0, 1.0, (), (step,))
+        a = IntervalSet.parse("[0,1/4]")
+        estimate, _ = mc_correlation(fs, a, a, 2, SampleConfig(1000, seed=3))
+        assert len(seen) == 2 and len(seen[0]) == round(estimate * 1000)
+        assert all(np.all(xs <= 0.25) for xs in seen)
+
     def test_a_nan_orbit_is_a_nan_separation(self):
         # 1e300 * x**2 overflows to inf, and inf - inf is NaN
         fs = FloatSchedule.from_steps(0.0, 1.0, (), (QuadraticMap(0.0, 1e300, 1e300),))

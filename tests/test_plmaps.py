@@ -17,6 +17,7 @@ from nadyn import (
     Schedule,
     UnknownExample,
     bundled_example,
+    canonicalize,
     correlation_series,
     hitting_set,
     make_plmap,
@@ -28,7 +29,8 @@ from nadyn import (
     transitivity_verdict,
     weakmix_verdict,
 )
-from nadyn.plmaps import PLMap, check_within
+from nadyn.intervals import piecewise_affine
+from nadyn.plmaps import check_within
 from randgen import UNIT, interval_sets_in, intervals_in, maps_with_sets, plmaps, schedules
 
 TENT = bundled_example("tent")
@@ -301,14 +303,34 @@ class TestPropagate:
 
     def test_a_shared_memo_steps_each_state_once(self, monkeypatch):
         s, calls = iset("[1/2,5/8]"), []
-        image_set = PLMap.image_set
-        monkeypatch.setattr(PLMap, "image_set", lambda m, s: calls.append(s) or image_set(m, s))
+        monkeypatch.setattr("nadyn.plmaps.piecewise_affine",
+                            lambda s, table: calls.append(s) or piecewise_affine(s, table))
         memo = {}
         first = list(propagate(ALT, s, range(6), PropagationBudget(), memo=memo))
         assert first == list(propagate(ALT, s, range(6), PropagationBudget()))
         assert len(calls) == 6 + len(memo) == 6 + 5  # [0,1] recurs at the tent phase
         assert list(propagate(ALT, s, range(6), PropagationBudget(), memo=memo)) == first
         assert len(calls) == 11
+
+    def test_a_forward_chain_checks_its_start_once_at_its_first_step(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr("nadyn.plmaps.check_within",
+                            lambda s, domain, label="set": checked.append(s) or
+                            check_within(s, domain, label))
+        s = iset("[1/2,5/8]")
+        chain = propagate(ALT, s, range(5), PropagationBudget())
+        assert not checked  # nothing runs before the first next()
+        assert len(list(chain)) == 5 and checked == [s]
+        list(propagate(ALT, s, range(5), PropagationBudget(), inverse=True))
+        assert checked == [s]  # a preimage chain takes any set
+
+    def test_an_out_of_domain_start_raises_at_the_first_next(self):
+        chain = propagate(TENT, iset("[2,3]"), range(3), PropagationBudget())
+        with pytest.raises(OutOfDomain, match=r'^set "\[2,3\]" is not in the domain \[0,1\]$'):
+            next(chain)
+        assert list(propagate(TENT, iset("[2,3]"), range(0), PropagationBudget())) == []
+        assert list(propagate(TENT, iset("[2,3]"), range(2), PropagationBudget(),
+                              inverse=True)) == [iset([])] * 2
 
     def test_a_memo_keeps_phases_apart(self):
         # the same set at an odd start meets doubling first, not tent
@@ -372,6 +394,56 @@ def test_galois_containments(m, a, b):
 
 # negative, non-dyadic ends: set keys go below zero and lattices mix denominators
 _DOMAINS = (UNIT, Interval(F(-3, 2), F(1, 3)))
+
+
+def _affine_parts(s, on, slope, intercept):
+    """Each part of s ∩ on sent through x -> slope*x + intercept, in Fraction arithmetic."""
+    out = []
+    for iv in s.intersect(IntervalSet((on,))).parts:
+        if slope == 0:  # a constant piece gives its point
+            out.append(Interval(intercept, intercept))
+            continue
+        lo, hi = slope * iv.lo + intercept, slope * iv.hi + intercept
+        flags = (iv.lo_open, iv.hi_open)
+        if slope < 0:  # the ends and their flags swap
+            lo, hi, flags = hi, lo, flags[::-1]
+        out.append(Interval(lo, hi, *flags))
+    return out
+
+
+def reference_image(m, s):
+    return canonicalize(iv for p in m.pieces
+                        for iv in _affine_parts(s, p.on, p.slope, p.intercept))
+
+
+def reference_preimage(m, s):
+    parts = []
+    for p in m.pieces:
+        img = reference_image(m, IntervalSet((p.on,)))  # the piece meets no other piece
+        if p.slope == 0:  # all of the piece, or nothing
+            parts += [p.on] if s.meets(img) else []
+        else:
+            parts += _affine_parts(s, img.parts[0], 1 / p.slope, -p.intercept / p.slope)
+    return canonicalize(parts)
+
+
+@given(maps_with_sets(_DOMAINS), interval_sets_in(F(-2), F(2)))
+def test_steps_equal_the_fraction_reference(case, wide):
+    m, s = case
+    assert m.image_set(s) == reference_image(m, s)
+    assert m.preimage_set(s) == reference_preimage(m, s)
+    assert m.preimage_set(wide) == reference_preimage(m, wide)
+
+
+@settings(max_examples=60)
+@given(schedules(), interval_sets_in(), interval_sets_in(F(-1), F(2)))
+def test_chains_equal_the_fraction_reference(sch, s, wide):
+    forward = list(propagate(sch, s, range(4), PropagationBudget()))
+    backward = list(propagate(sch, wide, reversed(range(4)), PropagationBudget(), inverse=True))
+    for i in range(4):
+        s = reference_image(sch.map_at(i), s)
+        wide = reference_preimage(sch.map_at(3 - i), wide)
+        assert (forward[i], backward[i]) == (s, wide)
 
 
 @given(maps_with_sets(_DOMAINS))

@@ -67,6 +67,7 @@ from .topology import (
     SensitivityCertificate,
     SensitivityFailure,
     Verdict,
+    _charge,
     certified_fail_verdict,
     hitting_set,
     invariant_set_certificate,
@@ -348,6 +349,8 @@ _VERDICTS = {
 def _cmd_verdict(args, sch: Schedule, budget: PropagationBudget) -> tuple[dict, dict]:
     g = parse_rational(args.grid)
     verdict = _VERDICTS[args.command](sch, g, args.H, budget)
+    if verdict.witnesses.pairs:  # the report lists every two cell pairs, k^4 rows
+        _charge(budget, "grid", g, verdict.witnesses.k, 4, "whose k^4 report rows exceed")
     return {"grid": _fr(g), "H": args.H}, _verdict_json(verdict, sch)
 
 

@@ -19,6 +19,9 @@ merged, ``den`` least), so point-set equality is structural equality.
 for every reader outside the set algebra, as each part's ends in integer
 numerators over ``den`` with their openness flags: the text form, ``.parts``
 (the :class:`Interval` API), the grid lookups and the Monte Carlo masks.
+Its inverse :func:`_part` builds one-part sets such as the grid cells.  Outside
+the set algebra these two alone read and write keys, but for the memos' identity
+keys and ``PLMap``'s tiling check, which reads the :func:`affine_table` rows.
 """
 
 from __future__ import annotations
@@ -186,6 +189,11 @@ def _canonical(den: int, keys) -> "IntervalSet":
     return s
 
 
+def _part(den: int, a: int, b: int, lo_open: bool, hi_open: bool) -> "IntervalSet":
+    """The part from a/den to b/den with these flags (a < b, or a == b closed); inverts ends()."""
+    return _canonical(den, (4 * a + lo_open, 4 * b - hi_open))
+
+
 def _encode(parts) -> tuple[int, list[int]]:
     """The least common denominator of the parts' ends, and their keys over it."""
     for iv in parts:
@@ -289,11 +297,13 @@ class IntervalSet:
         return Fraction(sum(((hi + 1) >> 2) - ((lo + 1) >> 2) for lo, hi in _pairs(self.keys)),
                         self.den)
 
+    def span(self) -> int:
+        """(sup - inf) * den, in integers (0 for the empty set)."""
+        return ((self.keys[-1] + 1) >> 2) - ((self.keys[0] + 1) >> 2) if self.keys else 0
+
     def diameter(self) -> Fraction:
         """sup - inf (0 for the empty set)."""
-        if not self.keys:
-            return Fraction(0)
-        return Fraction(((self.keys[-1] + 1) >> 2) - ((self.keys[0] + 1) >> 2), self.den)
+        return Fraction(self.span(), self.den)
 
     def contains_point(self, x) -> bool:
         k = _key(as_rational(x), self.den)

@@ -34,7 +34,7 @@ from .errors import (
     OutOfDomain,
     ScaleMismatch,
 )
-from .intervals import Interval, IntervalSet, _canonical, _quoted, as_rational
+from .intervals import Interval, IntervalSet, _part, _quoted, as_rational
 from .plmaps import DEFAULT_BUDGET, PropagationBudget, Schedule, check_within, propagate
 
 CERTIFIED_FAIL = "CERTIFIED_FAIL"
@@ -222,55 +222,52 @@ class Verdict:
         return self.kind == WITNESSED_UP_TO
 
 
-def _cell_count(domain: Interval, g: Fraction, error: type, noun: str) -> int:
-    """The number of cells of exact width g tiling the domain; g must divide it."""
+def _grid(domain: Interval, g: Fraction, error: type, noun: str) -> tuple[int, int, int, int]:
+    """The k cells of exact width g tiling the domain, in integers: (k, den, a0, w).
+
+    Cell i runs from (a0 + i*w)/den to (a0 + (i+1)*w)/den; g must divide the domain.
+    """
     length = domain.hi - domain.lo
     if g <= 0 or g > length:
         raise error(f"{noun} width {_quoted(str(g))} does not fit the domain {domain}")
     cells = length / g
     if cells.denominator != 1:
         raise error(f"{noun} width {_quoted(str(g))} does not divide the domain length {length}")
-    return cells.numerator
+    den = lcm(domain.lo.denominator, g.denominator)
+    return cells.numerator, den, int(domain.lo * den), int(g * den)
 
 
-def _cells(domain: Interval, g: Fraction, error: type, noun: str) -> tuple[int, int, range]:
-    """The cells of exact width g tiling the domain, in integers: (den, w, starts).
+def _open_cells(k: int, den: int, a0: int, w: int) -> tuple[IntervalSet, ...]:
+    return tuple(_part(den, a, a + w, True, True) for a in range(a0, a0 + k * w, w))
 
-    Cell i runs from a/den to (a + w)/den, a the i-th item of starts.  g must
-    divide the domain length.
-    """
-    k = _cell_count(domain, g, error, noun)
-    lo = domain.lo
-    den = lcm(lo.denominator, g.denominator)
-    a, w = lo.numerator * (den // lo.denominator), g.numerator * (den // g.denominator)
-    return den, w, range(a, a + k * w, w)
+
+def _closed_cells(k: int, den: int, a0: int, w: int) -> Iterator[Interval]:
+    return (Interval(Fraction(a, den), Fraction(a + w, den)) for a in range(a0, a0 + k * w, w))
 
 
 def open_grid(domain: Interval, g: Fraction) -> tuple[IntervalSet, ...]:
     """Open cells of exact width g tiling the domain; g must divide it."""
-    den, w, starts = _cells(domain, as_rational(g), GridMismatch, "grid")
-    return tuple(_canonical(den, (4 * a + 1, 4 * (a + w) - 1)) for a in starts)
+    return _open_cells(*_grid(domain, as_rational(g), GridMismatch, "grid"))
 
 
 def closed_grid(domain: Interval, g: Fraction) -> tuple[Interval, ...]:
-    den, w, starts = _cells(domain, as_rational(g), ScaleMismatch, "cell")
-    return tuple(Interval(Fraction(a, den), Fraction(a + w, den)) for a in starts)
+    return tuple(_closed_cells(*_grid(domain, as_rational(g), ScaleMismatch, "cell")))
 
 
-def _charge(budget: PropagationBudget, noun: str, width: Fraction, k: int, masks: bool) -> None:
-    """Refuse at step 0 a walk over k cells, or with masks their k*k masks, past the budget.
+def _charge(budget: PropagationBudget, noun: str, width: Fraction, k: int, power: int,
+            what: str) -> None:
+    """Refuse at step 0 the k**power items (named by what) of k cells, past the budget.
 
-    It runs before any cell is built.  The limit is never below the default
+    It runs before any item is built.  The limit is never below the default
     budget: a smaller budget bounds the sets, not the grid.
     """
-    count, cap = k * k if masks else k, max(budget.max_parts, DEFAULT_BUDGET.max_parts)
+    count, cap = k**power, max(budget.max_parts, DEFAULT_BUDGET.max_parts)
     if count <= cap:
         return
     try:
         cells = _quoted(str(k))
     except ValueError:  # past the interpreter's limit on int-to-text conversion
         cells = f"at least 2^{k.bit_length() - 1}"
-    what = "whose k*k masks exceed" if masks else "which exceed"
     raise BudgetExceeded(0, count, cap, f"{noun} width {_quoted(str(width))} gives k = "
                          f"{cells} cells, {what} {cap} parts")
 
@@ -279,8 +276,8 @@ def _charge(budget: PropagationBudget, noun: str, width: Fraction, k: int, masks
 _MATRIX_MEMO_SIZE = 4
 
 
-def _cell_cuts(s: IntervalSet, start: Fraction, g: Fraction, k: int) -> tuple[int, ...]:
-    """The open cells (start + i*g, start + (i+1)*g), i < k, that s meets, as cut indices.
+def _cell_cuts(s: IntervalSet, k: int, den: int, a0: int, w: int) -> tuple[int, ...]:
+    """The open cells of a _grid that s meets, as cut indices.
 
     Cell i is met iff an odd number of the cuts are <= i: the cuts are the
     ends a, b of the merged ranges [a, b) of met cells.  A part with interior
@@ -288,15 +285,14 @@ def _cell_cuts(s: IntervalSet, start: Fraction, g: Fraction, k: int) -> tuple[in
     meets a cell only strictly inside it.  Two parts that meet one cell share
     a range, so the cuts toggle each met cell exactly once.
     """
-    # an end a/s.den lies (a*m - c)/d cells past start, in integers
-    m = start.denominator * g.denominator
-    c, d = start.numerator * s.den * g.denominator, s.den * start.denominator * g.numerator
+    # an end a/s.den lies (a*den - c)/d cells past the first cell's start
+    c, d = a0 * s.den, w * s.den
     cuts: list[int] = []
     for a, b, _, _ in s.ends():
         if a < b:
-            lo, hi = max(0, (a * m - c) // d), min(k, -((c - b * m) // d))
+            lo, hi = max(0, (a * den - c) // d), min(k, -((c - b * den) // d))
         else:
-            lo, r = divmod(a * m - c, d)
+            lo, r = divmod(a * den - c, d)
             hi = lo + 1 if r else lo  # a point on a cell boundary meets no cell
         if lo >= hi:
             continue
@@ -311,10 +307,10 @@ def _cell_cuts(s: IntervalSet, start: Fraction, g: Fraction, k: int) -> tuple[in
 def _hitting_matrix(
     sch: Schedule, g: Fraction, horizon: int, budget: PropagationBudget
 ) -> tuple[tuple[IntervalSet, ...], tuple[tuple[int, ...], ...]]:
-    start, k = sch.domain.lo, _cell_count(sch.domain, g, GridMismatch, "grid")
+    k, *_ = grid = _grid(sch.domain, g, GridMismatch, "grid")
     _check_horizon(horizon)
-    _charge(budget, "grid", g, k, masks=True)
-    cells = open_grid(sch.domain, g)
+    _charge(budget, "grid", g, k, 2, "whose k*k masks exceed")
+    cells = _open_cells(*grid)
     memo: dict = {}  # (phase, set) -> image, shared by every cell's chain
     cuts: dict[tuple, tuple[int, ...]] = {}  # (den, keys) of each distinct image -> its cuts
     masks = []
@@ -326,7 +322,7 @@ def _hitting_matrix(
             bit = 1 << (n - 1)
             met = cuts.get((cur.den, cur.keys))
             if met is None:
-                met = cuts[cur.den, cur.keys] = _cell_cuts(cur, start, g, k)
+                met = cuts[cur.den, cur.keys] = _cell_cuts(cur, *grid)
             for j in met:
                 tog[j] ^= bit
         masks.append(tuple(accumulate(tog[:k], xor)))
@@ -522,31 +518,24 @@ def sensitivity_certificate(
     if delta <= 0:
         raise ValueError("delta must be positive")
     _check_horizon(horizon)
-    k = _cell_count(sch.domain, scale, ScaleMismatch, "cell")
-    _charge(budget, "cell", scale, k, masks=False)
-    den, w, starts = _cells(sch.domain, scale, ScaleMismatch, "cell")
-    goal = 2 * delta
-    gnum, gden = goal.numerator, goal.denominator
-
-    def wide(s: IntervalSet) -> bool:  # diameter > goal, in integers; s is an image, not empty
-        keys = s.keys
-        return (((keys[-1] + 1) >> 2) - ((keys[0] + 1) >> 2)) * gden > gnum * s.den
-
+    k, *_ = grid = _grid(sch.domain, scale, ScaleMismatch, "cell")
+    _charge(budget, "cell", scale, k, 1, "which exceed")
+    gnum, gden = (2 * delta).as_integer_ratio()
     memo: dict = {}  # (phase, set) -> image, shared by every cell's chain
     found: list[CellWitness] = []
     failed: list[CellFailure] = []
-    for a in starts:
-        cell = Interval(Fraction(a, den), Fraction(a + w, den))
-        seen = [_canonical(den, (4 * a, 4 * (a + w)))]
-        for n, cur in enumerate(propagate(sch, seen[0], range(horizon), budget, memo=memo),
+    for cell in _closed_cells(*grid):
+        widest = IntervalSet((cell,))  # the chain's start, then its widest set so far
+        for n, cur in enumerate(propagate(sch, widest, range(horizon), budget, memo=memo),
                                 start=1):
-            if wide(cur):
+            span = cur.span()
+            if span * gden > gnum * cur.den:  # diameter > 2*delta, in integers
                 found.append(CellWitness(cell=cell, n=n, diameter=cur.diameter()))
                 break
-            seen.append(cur)
+            if span * widest.den > widest.span() * cur.den:
+                widest = cur
         else:
-            best = max(map(IntervalSet.diameter, seen))
-            failed.append(CellFailure(cell=cell, max_diameter=best))
+            failed.append(CellFailure(cell=cell, max_diameter=widest.diameter()))
     if failed:
         return SensitivityFailure(
             delta=delta, scale=scale, horizon=horizon, failures=tuple(failed)

@@ -493,7 +493,7 @@ class TestExitCodes:
         # 10^5 cells: the 10^10 masks exceed the default 2^20 parts
         def no_cells(*args):
             raise AssertionError("cells built")
-        monkeypatch.setattr(topology, "open_grid", no_cells)
+        monkeypatch.setattr(topology, "_open_cells", no_cells)
         code, doc, err = run_cli(capsys, "transitivity", "--system", "tent",
                                  "--grid", "1/100000", "--H", "1")
         assert code == 3 and doc is None
@@ -502,11 +502,25 @@ class TestExitCodes:
         assert err["detail"] == ('grid width "1/100000" gives k = "100000" cells, '
                                  'whose k*k masks exceed 1048576 parts')
 
+    def test_a_weakmix_report_past_the_budget_is_refused_before_any_row(self, capsys,
+                                                                        monkeypatch):
+        # 33 cells: the 33^2 masks fit the default 2^20 parts, the 33^4 report rows do not
+        def no_rows(*args):
+            raise AssertionError("report rows built")
+        monkeypatch.setattr(topology.PairPairs, "rows", no_rows)
+        code, doc, err = run_cli(capsys, "weakmix", "--system", "tent",
+                                 "--grid", "1/33", "--H", "8")
+        assert code == 3 and doc is None
+        assert (err["error"], err["step"], err["parts"], err["max_parts"]) == (
+            "budget_exceeded", 0, 33**4, 1 << 20)
+        assert err["detail"] == ('grid width "1/33" gives k = "33" cells, '
+                                 'whose k^4 report rows exceed 1048576 parts')
+
     def test_a_refusal_past_every_json_integer_is_strict_json(self, capsys, monkeypatch):
         # 10^3000 cells: k*k has 6,001 digits, past json's int limit from Python 3.11 on
         def no_cells(*args):
             raise AssertionError("cells built")
-        monkeypatch.setattr(topology, "open_grid", no_cells)
+        monkeypatch.setattr(topology, "_open_cells", no_cells)
         width = "1/1" + "0" * 3000
         code, doc, err = run_cli(capsys, "transitivity", "--system", "tent",
                                  "--grid", width, "--H", "1")

@@ -199,6 +199,16 @@ def test_sensitivity_steps_a_set_by_the_map_of_each_phase_it_recurs_at(
     assert_sensitivity_equals_reference(sch, delta, scale, horizon)
 
 
+def test_a_failing_cell_reports_its_widest_set():
+    # each chain is the cell, then [0,1/2] or [1/2,1], then the cell again: the widest
+    # set is neither the first nor the last, and is over halves, not quarters
+    tent_then_half = Schedule((), (bundled_example("tent").cycle[0],
+                                   make_plmap(_UNIT, [(_UNIT, F(1, 2), 0)])), _UNIT)
+    res = sensitivity_certificate(tent_then_half, F(1, 4), F(1, 4), 4)
+    assert [f.max_diameter for f in res.failures] == [F(1, 2)] * 4
+    assert_sensitivity_equals_reference(tent_then_half, F(1, 4), F(1, 4), 4)
+
+
 @settings(max_examples=150, deadline=None)
 @given(grid_systems())
 def test_matrix_equals_meets_reference(system):

@@ -14,6 +14,7 @@ from nadyn import (
     format_rational,
     parse_rational,
 )
+from nadyn.intervals import _part
 from randgen import interval_sets_in, intervals_in
 
 UNIT = Interval(0, 1)
@@ -198,6 +199,21 @@ def test_text_and_parts_read_the_same_ends(s):
     rebuilt = IntervalSet(Interval(F(a, s.den), F(b, s.den), lo_open, hi_open)
                           for a, b, lo_open, hi_open in s.ends())
     assert rebuilt == s
+
+
+@given(st.integers(1, 24), st.integers(-48, 48), st.integers(0, 48), st.booleans(),
+       st.booleans())
+@example(6, -4, 6, True, False)  # -2/3 to 1/3 over 6: reducible to thirds
+@example(4, 8, 0, False, False)  # the point 2 over 4
+def test_part_inverts_ends(den, a, width, lo_open, hi_open):
+    b = a + width
+    if a == b:  # a point is closed
+        lo_open = hi_open = False
+    s = _part(den, a, b, lo_open, hi_open)
+    ((a2, b2, lo2, hi2),) = s.ends()
+    assert (F(a2, s.den), F(b2, s.den), lo2, hi2) == (F(a, den), F(b, den), lo_open, hi_open)
+    assert s == IntervalSet((Interval(F(a, den), F(b, den), lo_open, hi_open),))
+    assert s.span() == s.diameter() * s.den
 
 
 @given(st.lists(intervals_in(), max_size=4))

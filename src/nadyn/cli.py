@@ -246,6 +246,8 @@ def _cmd_image(args, sch: Schedule, budget: PropagationBudget) -> tuple[dict, di
 
 
 def _series_from_args(args, sch: Schedule, budget: PropagationBudget):
+    if args.N < 1:  # the library names it n, which is also cesaro's other flag
+        raise MalformedInput("N must be >= 1")
     a = parse_set_argument(args.A)
     b = parse_set_argument(args.B)
     series = correlation_series(sch, a, b, args.N, budget)

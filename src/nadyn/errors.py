@@ -3,8 +3,8 @@
 ``MalformedInput`` and its subclasses map to CLI exit code 2: the parse
 errors, the rejected maps, and the requests that do not fit the system
 (``OutOfDomain``, ``GridMismatch``, ``ScaleMismatch``, ``HorizonExceeded``).
-``BudgetExceeded`` maps to exit 3, ``UnknownExample`` to exit 4.  Everything
-else signals misuse of the library API.
+So does ``ValueError``, which the library's own argument checks raise (``horizon
+must be >= 1``).  ``BudgetExceeded`` maps to exit 3, ``UnknownExample`` to exit 4.
 """
 
 from __future__ import annotations

@@ -59,19 +59,18 @@ def parse_rational(text: str) -> Fraction:
     form (``"0.5"`` -> write ``"1/2"``).
     """
     s = text.strip()
-    if not _RATIONAL_RE.match(s):
-        if _DECIMAL_RE.match(s):
-            exact = Fraction(s)  # decimal strings convert exactly
+    try:
+        if _RATIONAL_RE.match(s):
+            return Fraction(s)
+        if _DECIMAL_RE.match(s):  # a decimal string converts exactly
             raise MalformedRational(
                 f"float literal {_quoted(s)} not accepted; write the exact rational "
-                f"{_quoted(format_rational(exact))}"
-            )
-        raise MalformedRational(f'cannot parse {_quoted(text)} as a rational "p/q"')
-    try:
-        value = Fraction(s)
+                f"{_quoted(format_rational(Fraction(s)))}")
     except ZeroDivisionError:
         raise MalformedRational(f"zero denominator in {_quoted(text)}") from None
-    return value
+    except ValueError:  # past the interpreter's limit on text-to-int conversion
+        raise MalformedRational(f"{_quoted(s)} has more digits than Python converts") from None
+    raise MalformedRational(f'cannot parse {_quoted(text)} as a rational "p/q"')
 
 
 def format_rational(q: Fraction) -> str:

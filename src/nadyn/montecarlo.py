@@ -79,22 +79,12 @@ def _compile_plmap(m: PLMap) -> Callable[[np.ndarray], np.ndarray]:
     slopes = np.array([_double(p.slope, "slope") for p in m.pieces])
     intercepts = np.array([_double(p.intercept, "intercept") for p in m.pieces])
 
-    if not uppers:
-        s0, b0 = slopes[0], intercepts[0]
-
-        def affine(xs: np.ndarray) -> np.ndarray:
-            # the IEEE operations of the gathers below with every index 0
-            ys = xs * s0
-            ys += b0
-            return ys
-
-        return affine
-
     def step(xs: np.ndarray) -> np.ndarray:
         # the piece index is the number of interior ends below x: one
         # comparison pass per end beats a binary search at the few pieces
-        # real maps have, and equals searchsorted(side="left") on finite xs
-        idx = np.zeros(xs.shape, dtype=np.intp)
+        # real maps have, and equals searchsorted(side="left") on finite xs;
+        # a one-piece map keeps the scalar index 0
+        idx = 0
         for u in uppers:
             idx += xs > u
         ys = slopes.take(idx)

@@ -172,13 +172,10 @@ class Schedule:
 
     def shift(self, m: int) -> "Schedule":
         """The schedule as seen from time m: shift.map_at(j) == map_at(m+j)."""
-        if m < 0:
-            raise ValueError("shift must be nonnegative")
-        p = len(self.preamble)
-        if m < p:
-            return Schedule(self.preamble[m:], self.cycle, self.domain)
-        k = (m - p) % len(self.cycle)
-        return Schedule((), self.cycle[k:] + self.cycle[:k], self.domain)
+        i, p = self.phase(m), len(self.preamble)
+        if i < p:
+            return Schedule(self.preamble[i:], self.cycle, self.domain)
+        return Schedule((), self.cycle[i - p:] + self.cycle[:i - p], self.domain)
 
 
 @dataclass(frozen=True, slots=True)

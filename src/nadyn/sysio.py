@@ -41,7 +41,8 @@ from .plmaps import PLMap, Piece, Schedule
 def decode_json(text: str) -> Any:
     """``json.loads`` that fails only with MalformedInput, nesting too deep included."""
     try:
-        return json.loads(text)
+        # an integer goes through parse_rational, whose refusals word the digit limit
+        return json.loads(text, parse_int=lambda token: parse_rational(token).numerator)
     except json.JSONDecodeError as e:
         raise MalformedInput(str(e)) from None
     except RecursionError:  # the decoder recurses once per level of nesting
@@ -278,13 +279,11 @@ def _check_quadratic_self_map(q: QuadraticMap, domain: Interval, path: str) -> N
         vertex = -c1 / (2 * c2)
         if domain.lo < vertex < domain.hi:
             xs.append(vertex)
-    values = [c0 + x * (c1 + x * c2) for x in xs]
-    if min(values) < domain.lo or max(values) > domain.hi:
-        raise MalformedSystemFile(
-            f"quadratic map sends the domain {domain} onto "
-            f"[{float(min(values))!r}, {float(max(values))!r}], outside it",
-            field=path,
-        )
+    for x in xs:
+        # named by its exact point: the value may be past the range of a double
+        if not domain.contains(c0 + x * (c1 + x * c2)):
+            raise MalformedSystemFile(f"quadratic map sends {_quoted(format_rational(x))} "
+                                      f"outside the domain {domain}", field=path)
 
 
 def parse_mc_system_file(path: str) -> FloatSchedule:

@@ -122,7 +122,7 @@ def invariant_set_certificate(
             first,
             f"the first image of U is {first}, not contained in W = {w}",
         )
-    maps = tuple(sch.preamble) + tuple(sch.cycle)
+    maps = sch.preamble + sch.cycle
     for i, m in enumerate(maps):
         img = m.image_set(w)
         if not img.subset_of(w):
@@ -237,21 +237,19 @@ def _grid(domain: Interval, g: Fraction, error: type, noun: str) -> tuple[int, i
     return cells.numerator, den, int(domain.lo * den), int(g * den)
 
 
-def _open_cells(k: int, den: int, a0: int, w: int) -> tuple[IntervalSet, ...]:
-    return tuple(_part(den, a, a + w, True, True) for a in range(a0, a0 + k * w, w))
-
-
-def _closed_cells(k: int, den: int, a0: int, w: int) -> Iterator[Interval]:
-    return (Interval(Fraction(a, den), Fraction(a + w, den)) for a in range(a0, a0 + k * w, w))
+def _cells(k: int, den: int, a0: int, w: int, closed: bool = False) -> tuple[IntervalSet, ...]:
+    """The k cells of a _grid, open or closed, as one-part sets."""
+    return tuple(_part(den, a, a + w, not closed, not closed) for a in range(a0, a0 + k * w, w))
 
 
 def open_grid(domain: Interval, g: Fraction) -> tuple[IntervalSet, ...]:
     """Open cells of exact width g tiling the domain; g must divide it."""
-    return _open_cells(*_grid(domain, as_rational(g), GridMismatch, "grid"))
+    return _cells(*_grid(domain, as_rational(g), GridMismatch, "grid"))
 
 
 def closed_grid(domain: Interval, g: Fraction) -> tuple[Interval, ...]:
-    return tuple(_closed_cells(*_grid(domain, as_rational(g), ScaleMismatch, "cell")))
+    cells = _cells(*_grid(domain, as_rational(g), ScaleMismatch, "cell"), closed=True)
+    return tuple(cell.parts[0] for cell in cells)
 
 
 def _charge(budget: PropagationBudget, noun: str, width: Fraction, k: int, power: int,
@@ -310,7 +308,7 @@ def _hitting_matrix(
     k, *_ = grid = _grid(sch.domain, g, GridMismatch, "grid")
     _check_horizon(horizon)
     _charge(budget, "grid", g, k, 2, "whose k*k masks exceed")
-    cells = _open_cells(*grid)
+    cells = _cells(*grid)
     memo: dict = {}  # (phase, set) -> image, shared by every cell's chain
     cuts: dict[tuple, tuple[int, ...]] = {}  # (den, keys) of each distinct image -> its cuts
     masks = []
@@ -524,18 +522,18 @@ def sensitivity_certificate(
     memo: dict = {}  # (phase, set) -> image, shared by every cell's chain
     found: list[CellWitness] = []
     failed: list[CellFailure] = []
-    for cell in _closed_cells(*grid):
-        widest = IntervalSet((cell,))  # the chain's start, then its widest set so far
-        for n, cur in enumerate(propagate(sch, widest, range(horizon), budget, memo=memo),
+    for cell in _cells(*grid, closed=True):
+        widest = cell  # the chain's start, then its widest set so far
+        for n, cur in enumerate(propagate(sch, cell, range(horizon), budget, memo=memo),
                                 start=1):
             span = cur.span()
             if span * gden > gnum * cur.den:  # diameter > 2*delta, in integers
-                found.append(CellWitness(cell=cell, n=n, diameter=cur.diameter()))
+                found.append(CellWitness(cell=cell.parts[0], n=n, diameter=cur.diameter()))
                 break
             if span * widest.den > widest.span() * cur.den:
                 widest = cur
         else:
-            failed.append(CellFailure(cell=cell, max_diameter=widest.diameter()))
+            failed.append(CellFailure(cell=cell.parts[0], max_diameter=widest.diameter()))
     if failed:
         return SensitivityFailure(
             delta=delta, scale=scale, horizon=horizon, failures=tuple(failed)

@@ -304,6 +304,14 @@ class TestExitCodes:
     def test_unknown_command(self, capsys):
         assert main(["entropy"]) == 4
 
+    @pytest.mark.parametrize("command", ["correlate", "cesaro", "kvn"])
+    def test_a_series_length_below_1_is_named_N(self, capsys, command):
+        # the library calls it n, which is also the name of cesaro's other flag
+        code, doc, err = run_cli(capsys, command, "--system", "tent", "--A", "[0,1/2]",
+                                 "--B", "[0,1/2]", "--N", "0")
+        assert code == 2 and doc is None
+        assert (err["error"], err["detail"]) == ("malformed_input", "N must be >= 1")
+
     def test_unknown_command_is_a_json_diagnostic(self, capsys):
         code = main(["bogus", "--x", "0"])
         captured = capsys.readouterr()
@@ -493,7 +501,7 @@ class TestExitCodes:
         # 10^5 cells: the 10^10 masks exceed the default 2^20 parts
         def no_cells(*args):
             raise AssertionError("cells built")
-        monkeypatch.setattr(topology, "_open_cells", no_cells)
+        monkeypatch.setattr(topology, "_cells", no_cells)
         code, doc, err = run_cli(capsys, "transitivity", "--system", "tent",
                                  "--grid", "1/100000", "--H", "1")
         assert code == 3 and doc is None
@@ -520,7 +528,7 @@ class TestExitCodes:
         # 10^3000 cells: k*k has 6,001 digits, past json's int limit from Python 3.11 on
         def no_cells(*args):
             raise AssertionError("cells built")
-        monkeypatch.setattr(topology, "_open_cells", no_cells)
+        monkeypatch.setattr(topology, "_cells", no_cells)
         width = "1/1" + "0" * 3000
         code, doc, err = run_cli(capsys, "transitivity", "--system", "tent",
                                  "--grid", width, "--H", "1")
@@ -651,6 +659,8 @@ def quadratic_file(tmp_path, coeffs):
 
 
 BIG = "1" + "0" * 400  # an exact integer past the largest double
+DIGITS = "1" + "0" * 5000  # past Python's default 4,300-digit limit on text-to-int conversion
+TOO_MANY_DIGITS = f'"{DIGITS[:60]}…" (5001 characters) has more digits than Python converts'
 
 
 class TestSystemFileErrors:
@@ -706,6 +716,38 @@ class TestSystemFileErrors:
                                "--samples", "10")
         assert code == 2 and err["detail"] == '%s "%s…" (401 characters) is not a number ' \
                                               "in the range of a double" % (name, BIG[:60])
+
+    def test_mc_refuses_a_quadratic_map_past_a_double_by_its_point(self, tmp_path, capsys):
+        # f(1) = 2e308 is exact, and past the largest double
+        path = quadratic_file(tmp_path, ["0", "1e308", "1e308"])
+        code, doc, err = run_cli(capsys, "mc", "--system", path, "--A", "[0,1]", "--B", "[0,1]",
+                                 "--n", "1", "--samples", "10")
+        assert code == 2 and doc is None
+        assert err["detail"] == f'{path}: cycle[0]: quadratic map sends "1" outside the domain [0,1]'
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--system", "tent", "--x", DIGITS],
+        ["image", "--system", "tent", "--set", f"[0,{DIGITS}]", "--n", "1"],
+        ["kvn", "--values", f'["{DIGITS}"]'],
+        ["density", "--members", f"[{DIGITS}]", "--horizon", "3", "--tail-start", "1"],
+    ], ids=["eval_x", "set_literal", "kvn_values", "density_members"])
+    def test_a_number_past_the_digit_limit_is_our_diagnostic(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert strict_json(captured.err)["detail"].endswith(TOO_MANY_DIGITS)
+
+    @pytest.mark.parametrize("field,domain,slope", [
+        ("cycle[0].pieces[0].slope", "[0,1]", DIGITS),
+        ("domain", f"[0,{DIGITS}]", "1"),
+    ], ids=["slope", "domain"])
+    def test_a_system_field_past_the_digit_limit_names_the_file_and_field(
+            self, tmp_path, capsys, field, domain, slope):
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps({"domain": domain, "cycle": [{"pieces": [
+            {"on": "[0,1]", "slope": slope, "intercept": "0"}]}]}))
+        code, _, err = run_cli(capsys, "eval", "--system", str(path), "--x", "0")
+        assert code == 2 and err["detail"] == f"{path}: {field}: {TOO_MANY_DIGITS}"
 
     def test_logistic_map_still_loads_and_reports_strict_json(self, tmp_path, capsys):
         code = main(["mc", "--system", quadratic_file(tmp_path, ["0", "4", "-4"]),

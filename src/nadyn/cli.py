@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import re
 import sys
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
+from typing import Iterable
 
 from . import __version__
 from .errors import (
@@ -158,16 +160,19 @@ def _verdict_json(v: Verdict, sch: Schedule) -> dict:
     if v.tail is not None:
         doc["tail"] = v.tail
     if v.grid is not None:
+        # each label is encoded once, and each row is written as text around the
+        # labels it names: a weak-mixing listing names k^2 labels in k^4 rows
         cells = [str(c) for c in open_grid(sch.domain, v.grid)]
         if v.witnesses.pairs:
-            # one list per cell pair, shared by every row that names it
             labels, first, second = [[cu, cw] for cu in cells for cw in cells], "pair1", "pair2"
         else:
             labels, first, second = cells, "U", "V"
+        texts = [_dumps(label) for label in labels]
         score = "tail_start" if v.property_name == "mixing" else "n"
-        doc["witnesses"] = [{first: a, second: b, score: n}
-                            for a, b, n in v.witnesses.rows(labels)]
-        doc["unhit"] = [{first: a, second: b} for a, b, _ in v.unhit.rows(labels)]
+        doc["witnesses"] = _Encoded(f'{{"{first}":{a},"{second}":{b},"{score}":{n}}}'
+                                    for a, b, n in v.witnesses.rows(texts))
+        doc["unhit"] = _Encoded(f'{{"{first}":{a},"{second}":{b}}}'
+                                for a, b, _ in v.unhit.rows(texts))
     if v.certificate is not None:
         c = v.certificate
         doc["certificate"] = {
@@ -539,16 +544,62 @@ def _build_parser(command: str) -> argparse.ArgumentParser:
 _JSON_INT_MAX = 2**53 - 1  # the largest integer every JSON reader holds exactly (RFC 7493)
 
 
+_dumps = functools.partial(json.dumps, separators=(",", ":"), allow_nan=False)
+
+
+class _Encoded:
+    """A JSON list written ahead from its items' texts; ``_json_text`` puts it in as it is.
+
+    The list is kept as its text's parts, so the report's text is the one copy
+    of a long listing.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self, items: Iterable[str]):
+        # ",", item, ",", item, ..., "]": the first comma opens the list
+        self.parts = [*chain.from_iterable(zip(repeat(","), items)), "]"]
+        self.parts[0] = "[" if len(self.parts) > 1 else "[]"
+
+
+def _holds_encoded(doc: dict) -> bool:
+    return any(isinstance(v, _Encoded) or isinstance(v, dict) and _holds_encoded(v)
+               for v in doc.values())
+
+
 def _json_text(doc: dict) -> str:
-    """One line of compact strict JSON (no NaN), written by json's C encoder."""
-    return json.dumps(doc, separators=(",", ":"), allow_nan=False)
+    """One line of compact strict JSON (no NaN), written by json's C encoder.
+
+    A dict that holds an ``_Encoded`` value, itself or in a dict below it, is
+    written key by key, and the ``_Encoded`` text goes in where its value goes.
+    It is placed by the document's structure, not found in the text, so no
+    string in the data can be taken for it.  Elsewhere (in a list, say) json
+    refuses it, as any object that is not JSON.
+    """
+    parts: list[str] = []
+    _encode(doc, parts)
+    return "".join(parts)
+
+
+def _encode(value, parts: list[str]) -> None:
+    if isinstance(value, _Encoded):
+        parts += value.parts
+    elif isinstance(value, dict) and _holds_encoded(value):
+        opening = "{"
+        for k, v in value.items():
+            parts += (opening, _dumps(k), ":")
+            _encode(v, parts)
+            opening = ","
+        parts.append("}")
+    else:
+        parts.append(_dumps(value))
 
 
 def _emit(doc: dict, out: str | None) -> None:
     text = _json_text(doc)
     if out:
         with _open(out, "w") as fh:
-            fh.write(text + "\n")
+            print(text, file=fh)
     else:
         print(text)
 

@@ -81,7 +81,24 @@ def format_rational(q: Fraction) -> str:
 def _ratio(p: int, q: int) -> str:
     """p/q (q > 0) in lowest terms, as ``"p/q"`` or ``"p"`` when integral."""
     g = gcd(p, q)
-    return str(p // g) if g == q else f"{p // g}/{q // g}"
+    p, q = p // g, q // g
+    try:
+        return str(p) if q == 1 else f"{p}/{q}"
+    except ValueError:  # past the interpreter's limit on int-to-text conversion
+        return _digits(p) if q == 1 else f"{_digits(p)}/{_digits(q)}"
+
+
+_CHUNK_DIGITS = 600  # below 640, the lowest int-to-text limit Python can be set to
+
+
+def _digits(n: int) -> str:
+    """str(n) for an integer of any length, written in chunks the digit limit allows."""
+    chunks, rest, base = [], abs(n), 10**_CHUNK_DIGITS
+    while rest >= base:
+        rest, chunk = divmod(rest, base)
+        chunks.append(f"{chunk:0{_CHUNK_DIGITS}d}")
+    chunks.append(f"{'-' if n < 0 else ''}{rest}")
+    return "".join(reversed(chunks))
 
 
 def as_rational(value) -> Fraction:

@@ -38,11 +38,40 @@ from .plmaps import PLMap, Piece, Schedule
 # -- text forms -------------------------------------------------------------
 
 
-def decode_json(text: str) -> Any:
-    """``json.loads`` that fails only with MalformedInput, nesting too deep included."""
+def _exact_int(token: str) -> int:
+    # parse_rational's refusal words the digit limit
+    return parse_rational(token).numerator
+
+
+class _Digits:
+    """A JSON integer of a system file with more digits than Python converts.
+
+    The file decodes, and the walker refuses the value by its field.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __float__(self) -> float:
+        raise OverflowError  # 640 digits and more are past the range of a double
+
+
+def _file_int(token: str) -> int | _Digits:
     try:
-        # an integer goes through parse_rational, whose refusals word the digit limit
-        return json.loads(text, parse_int=lambda token: parse_rational(token).numerator)
+        return int(token)
+    except ValueError:  # past the interpreter's limit on text-to-int conversion
+        return _Digits(token)
+
+
+def decode_json(text: str, parse_int: Callable[[str], Any] = _exact_int) -> Any:
+    """``json.loads`` that fails only with MalformedInput, nesting too deep included.
+
+    ``parse_int`` decodes each integer; by default one past the digit limit is refused.
+    """
+    try:
+        return json.loads(text, parse_int=parse_int)
     except json.JSONDecodeError as e:
         raise MalformedInput(str(e)) from None
     except RecursionError:  # the decoder recurses once per level of nesting
@@ -100,6 +129,8 @@ def _float_literal(x: float) -> str:
 
 def _json_rational(value: Any) -> Fraction:
     """The exact rational a decoded JSON value spells: an integer or a rational string."""
+    if isinstance(value, _Digits):  # parse_rational refuses it, wording the digit limit
+        value = value.text
     if isinstance(value, str):
         return parse_rational(value)
     if isinstance(value, int) and not isinstance(value, bool):
@@ -219,7 +250,7 @@ def _load_json(path: str) -> Any:
     """The parsed JSON document of a system file; any failure is malformed input."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return decode_json(fh.read())
+            return decode_json(fh.read(), _file_int)
     except FileNotFoundError:
         raise MalformedSystemFile("file not found", path=path) from None
     except OSError as e:  # a directory, no permission, ...
@@ -252,7 +283,8 @@ def _float_step(node: Any, domain: Interval, field: str):
     if (
         not isinstance(coeffs, list)
         or len(coeffs) != 3
-        or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in coeffs)
+        or not all(isinstance(c, (int, float, _Digits)) and not isinstance(c, bool)
+                   for c in coeffs)
     ):
         raise MalformedSystemFile(
             '"quadratic" must be a list of three numbers [c0, c1, c2]', field=field

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shlex
+from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -749,6 +750,51 @@ class TestSystemFileErrors:
         code, _, err = run_cli(capsys, "eval", "--system", str(path), "--x", "0")
         assert code == 2 and err["detail"] == f"{path}: {field}: {TOO_MANY_DIGITS}"
 
+    @pytest.mark.parametrize("command", ["eval", "mc"])
+    def test_a_bare_integer_past_the_digit_limit_names_the_file_and_field(
+            self, tmp_path, capsys, command):
+        path = tmp_path / "digits.json"
+        path.write_text('{"domain": "[0,1]", "cycle": [{"pieces": [{"on": "[0,1]", '
+                        f'"slope": {DIGITS}, "intercept": "0"}}]}}]}}')
+        extra = ["--x", "0"] if command == "eval" else ["--x", "0", "--epsilon", "0.1",
+                                                        "--n", "1", "--samples", "10"]
+        code, doc, err = run_cli(capsys, command, "--system", str(path), *extra)
+        assert code == 2 and doc is None
+        assert err["detail"] == f"{path}: cycle[0].pieces[0].slope: {TOO_MANY_DIGITS}"
+
+    def test_a_bare_quadratic_coefficient_past_the_digit_limit_is_past_a_double(
+            self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "mc", "--system",
+                               quadratic_file(tmp_path, ["0", DIGITS, "0"]),
+                               "--A", "[0,1]", "--B", "[0,1]", "--n", "1", "--samples", "10")
+        assert code == 2 and err["detail"].endswith('cycle[0]: "quadratic" coefficients must '
+                                                    "be finite doubles")
+
+    def test_an_exact_result_past_the_digit_limit_is_written_whole(self, tmp_path, capsys):
+        # the cube of a 2,000-digit denominator has 5,999 digits
+        threes = int("3" * 2000)
+        path = tmp_path / "threes.json"
+        path.write_text(json.dumps({"domain": "[0,1]", "cycle": [{"pieces": [
+            {"on": "[0,1]", "slope": f"1/{threes}", "intercept": "0"}]}]}))
+        cube = str(Decimal(threes**3))  # Decimal writes an int past the limit
+        code, doc, _ = run_cli(capsys, "eval", "--system", str(path), "--x", "1", "--n", "3")
+        assert code == 0 and doc["result"]["value"] == f"1/{cube}"
+        code, doc, _ = run_cli(capsys, "image", "--system", str(path), "--set", "[0,1]",
+                               "--n", "3")
+        assert code == 0 and doc["result"] == {"image": [f"[0,1/{cube}]"],
+                                               "measure": f"1/{cube}"}
+
+    def test_a_sample_range_past_the_largest_double_exits_2(self, tmp_path, capsys):
+        big = "1" + "0" * 308
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"domain": f"[-{big},{big}]",
+                                    "cycle": [{"quadratic": [0, 1, 0]}]}))
+        code, doc, err = run_cli(capsys, "mc", "--system", str(path), "--A", "[0,1]",
+                                 "--B", "[0,1]", "--n", "1", "--samples", "10")
+        assert code == 2 and doc is None
+        assert err["detail"] == "the samples' range [-1e+308, 1e+308] is wider than the " \
+                                "largest double"
+
     def test_logistic_map_still_loads_and_reports_strict_json(self, tmp_path, capsys):
         code = main(["mc", "--system", quadratic_file(tmp_path, ["0", "4", "-4"]),
                      "--x", "0.3", "--epsilon", "0.01", "--n", "40", "--samples", "100"])
@@ -963,6 +1009,42 @@ class TestCommandTable:
         assert code == 0 and doc["result"]["kind"] == verdict.kind == kind
         assert doc["result"]["witnesses"] == witnesses and doc["result"]["unhit"] == unhit
         assert len(witnesses) + len(unhit) == len(cells) ** (4 if command == "weakmix" else 2)
+
+    @pytest.mark.parametrize("command", list(GRID_VERDICTS))
+    @pytest.mark.parametrize("system", ["tent", "example31"])
+    @pytest.mark.parametrize("grid", ["1/4", "1/8"])
+    def test_a_listing_is_the_text_json_writes_for_its_row_dicts(self, capsys, command, system,
+                                                                 grid):
+        assert main([command, "--system", system, "--grid", grid, "--H", "12"]) == 0
+        out = capsys.readouterr().out
+        report = json.loads(out)
+        sch = bundled_example(system)
+        verdict = GRID_VERDICTS[command](sch, F(grid), 12)
+        # the listing as dicts, one per row, as json encoded it before the rows were text
+        cells = [str(c) for c in open_grid(sch.domain, verdict.grid)]
+        if verdict.witnesses.pairs:
+            labels, first, second = [[cu, cw] for cu in cells for cw in cells], "pair1", "pair2"
+        else:
+            labels, first, second = cells, "U", "V"
+        score = "tail_start" if command == "mixing" else "n"
+        result = report["result"]
+        result["witnesses"] = [{first: a, second: b, score: n}
+                               for a, b, n in verdict.witnesses.rows(labels)]
+        result["unhit"] = [{first: a, second: b} for a, b, _ in verdict.unhit.rows(labels)]
+        assert out == json.dumps(report, separators=(",", ":"), allow_nan=False) + "\n"
+        witnessed = system == "tent"
+        assert result["kind"] == ("WITNESSED_UP_TO" if witnessed else "INCONCLUSIVE")
+        assert bool(result["witnesses"]) and bool(result["unhit"]) != witnessed
+
+    def test_a_written_listing_goes_in_by_place_and_never_elsewhere(self):
+        listing = cli._Encoded(['{"U":"(0,1)"}', "[]"])
+        doc = {"text": '[{"U":"(0,1)"},[]]', "result": {"kind": "K", "rows": listing, "n": 1},
+               "empty": cli._Encoded(iter(())), "nested": {"list": [1, {"a": "]"}]}}
+        assert cli._json_text(doc) == json.dumps(
+            {**doc, "result": {"kind": "K", "rows": [{"U": "(0,1)"}, []], "n": 1}, "empty": []},
+            separators=(",", ":"))
+        with pytest.raises(TypeError):
+            cli._json_text({"rows": [listing]})
 
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_help(self, capsys, command):

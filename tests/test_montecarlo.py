@@ -1,5 +1,6 @@
 import math
 import random
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import numpy as np
@@ -14,6 +15,7 @@ from nadyn import (
     IntervalSet,
     MalformedInput,
     OutOfDomain,
+    PLMap,
     QuadraticMap,
     SampleConfig,
     Schedule,
@@ -25,7 +27,7 @@ from nadyn import (
     prefix_image,
     write_system_file,
 )
-from nadyn.montecarlo import _BLOCK, _compile_plmap, _member_mask, _samples
+from nadyn.montecarlo import _BLOCK, _PLStep, _member_mask, _samples
 from nadyn.sysio import parse_mc_system_file
 from randgen import UNIT, interval_sets_in, plmaps, rand_schedule
 
@@ -107,7 +109,7 @@ def assert_step_matches_searchsorted(m, seed=0):
         np.nextafter(ends, -np.inf),
         np.nextafter(ends, np.inf),
     ])
-    got, want = _compile_plmap(m)(xs), searchsorted_step(m)(xs)
+    got, want = _PLStep(m)(xs), searchsorted_step(m)(xs)
     assert np.array_equal(got, want), m
 
 
@@ -285,8 +287,8 @@ class TestFloatScheduleConstructor:
         by_hand = FloatSchedule(
             float(sch.domain.lo),
             float(sch.domain.hi),
-            tuple(_compile_plmap(m) for m in sch.preamble),
-            tuple(_compile_plmap(m) for m in sch.cycle),
+            tuple(_PLStep(m) for m in sch.preamble),
+            tuple(_PLStep(m) for m in sch.cycle),
         )
         assert_same_orbits(fs, by_hand)
 
@@ -372,7 +374,7 @@ class TestStreaming:
     def test_blocks_are_the_doubles_of_one_draw(self):
         count = 3 * _BLOCK + 7
         whole = np.random.default_rng(4).uniform(-0.5, 2.0, count)
-        blocks = list(_samples(SampleConfig(count, seed=4), -0.5, 2.0))
+        blocks = [xs.copy() for xs in _samples(SampleConfig(count, seed=4), -0.5, 2.0)]
         assert [len(xs) for xs in blocks] == [_BLOCK] * 3 + [7]
         assert np.array_equal(np.concatenate(blocks), whole)
 
@@ -389,3 +391,164 @@ def test_matches_exact_engine_on_the_desk_instance():
         exact = float(series.values[n])
         tolerance = 4 * stderr if stderr else 1e-12
         assert abs(estimate - exact) <= tolerance
+
+
+class AllocatingPLStep:
+    """The PL step as it was before the buffered lane: fresh arrays on every call."""
+
+    def __init__(self, m):
+        self.uppers = [np.nextafter(float(p.on.hi), -np.inf) if p.on.hi_open else float(p.on.hi)
+                       for p in m.pieces[:-1]]
+        self.slopes = np.array([float(p.slope) for p in m.pieces])
+        self.intercepts = np.array([float(p.intercept) for p in m.pieces])
+
+    def __call__(self, xs):
+        idx = 0
+        for u in self.uppers:
+            idx += xs > u
+        ys = self.slopes.take(idx)
+        ys *= xs
+        ys += self.intercepts.take(idx)
+        return ys
+
+
+def allocating_orbit(fs, xs, n):
+    for i in range(n):
+        xs = fs.map_at(i)(xs)
+    return xs
+
+
+def allocating_blocks(cfg, lo, hi):
+    rng = np.random.default_rng(cfg.seed)
+    for start in range(0, cfg.sample_count, _BLOCK):
+        yield rng.uniform(lo, hi, min(_BLOCK, cfg.sample_count - start))
+
+
+def allocating_correlation(fs, a, b, n, cfg):
+    """The estimate's loop before the buffered lane: every block and step allocates."""
+    hits = 0
+    for xs in allocating_blocks(cfg, fs.lo, fs.hi):
+        starts = xs[reference_mask(a, xs)]
+        hits += np.count_nonzero(reference_mask(b, allocating_orbit(fs, starts, n)))
+    p_hat = float(hits) / cfg.sample_count
+    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / cfg.sample_count)
+
+
+def allocating_separation(fs, x, epsilon, n, cfg):
+    fx = allocating_orbit(fs, np.array([x]), n)[0]
+    widest = -np.inf
+    for ys in allocating_blocks(cfg, max(fs.lo, x - epsilon), min(fs.hi, x + epsilon)):
+        widest = np.maximum(widest, np.max(np.abs(allocating_orbit(fs, ys, n) - fx)))
+    return float(widest)
+
+
+def both_lanes(lo, hi, preamble, cycle):
+    """The schedule of the buffered lane, and its twin whose PL steps allocate."""
+    def twin(steps):
+        return tuple(AllocatingPLStep(m) if isinstance(m, PLMap) else m for m in steps)
+    return (FloatSchedule.from_steps(lo, hi, preamble, cycle),
+            FloatSchedule(F(lo), F(hi), twin(preamble), twin(cycle)))
+
+
+class CountingStep:
+    """A foreign step that keeps the length of every array it is given."""
+
+    def __init__(self):
+        self.lengths = []
+
+    def __call__(self, xs):
+        self.lengths.append(len(xs))
+        return xs
+
+
+WIDE = Interval(F(-1, 2), 2)
+WIDE_TENT = make_plmap(WIDE, [(Interval(F(-1, 2), F(3, 4)), 2, F(1, 2)),
+                              (Interval(F(3, 4), 2, lo_open=True), -2, F(7, 2))])
+LANES = {
+    **{name: bundled_example(name) for name in BUNDLED_EXAMPLE_NAMES},
+    **{f"random{seed}": rand_schedule(random.Random(seed)) for seed in range(4)},
+    "preamble": Schedule((TENT.cycle[0], bundled_example("doubling").cycle[0]),
+                         (TENT.cycle[0],), UNIT),
+    "one_piece": Schedule.constant(make_plmap(UNIT, [(UNIT, F(-3, 4), F(7, 8))])),
+    "quadratic": (0, 1, (TENT.cycle[0],), (QuadraticMap(0.0, 4.0, -4.0),)),
+    "nan_orbit": (0, 1, (), (QuadraticMap(0.0, 1e300, 1e300),)),  # inf at step 2: NaN gaps
+    "wide_domain": Schedule.constant(WIDE_TENT),
+}
+
+
+def lane_steps(case):
+    if isinstance(case, Schedule):
+        return case.domain.lo, case.domain.hi, case.preamble, case.cycle
+    return case
+
+
+def same_float(got, want):
+    return got == want or math.isnan(got) and math.isnan(want)
+
+
+class TestBufferedLane:
+    """Per-call buffers give every estimate of the allocating loop, bit for bit."""
+
+    @pytest.mark.parametrize("count", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+    @pytest.mark.parametrize("name", LANES)
+    def test_equals_the_allocating_loop_bit_for_bit(self, name, count):
+        buffered, allocating = both_lanes(*lane_steps(LANES[name]))
+        cfg = SampleConfig(count, seed=count + 3)
+        if buffered.lo < 0:
+            a, b = IntervalSet.parse("[-1/2,1/2]"), IntervalSet.parse(["(0,1]", "[3/2,2]"])
+        else:
+            a, b = IntervalSet.parse("[0,1/2]"), IntervalSet.parse(["(1/8,1/4]", "[1/3,3/4)"])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in (0, 1, 7):
+                assert mc_correlation(buffered, a, b, n, cfg) == \
+                    allocating_correlation(allocating, a, b, n, cfg)
+                for x, epsilon in ((0.3, 0.1), (float(buffered.hi), 0.25)):
+                    assert same_float(mc_separation(buffered, x, epsilon, n, cfg),
+                                      allocating_separation(allocating, x, epsilon, n, cfg))
+
+    def test_a_foreign_step_sees_the_same_arrays_in_both_lanes(self):
+        a = IntervalSet.parse("[0,1/4]")
+        cfg = SampleConfig(2 * _BLOCK + 9, seed=3)
+        results, lengths = [], []
+        for lane in (0, 1):
+            step = CountingStep()
+            fs = both_lanes(0, 1, (TENT.cycle[0],), (step, TENT.cycle[0]))[lane]
+            run = mc_correlation if lane == 0 else allocating_correlation
+            results.append(run(fs, a, a, 5, cfg))
+            lengths.append(step.lengths)
+        assert results[0] == results[1] and lengths[0] == lengths[1]
+        # two calls per block (steps 1 and 3), each on the block's samples in A
+        in_a = reference_mask(a, np.random.default_rng(3).uniform(0, 1, cfg.sample_count))
+        assert len(lengths[0]) == 3 * 2 and sum(lengths[0][::2]) == np.count_nonzero(in_a)
+
+    def test_the_draw_is_uniform_bit_for_bit(self):
+        rng = random.Random(61)
+        for _ in range(60):
+            seed, count = rng.randrange(2**32), rng.randint(1, 5000)
+            lo = rng.choice([0.0, -0.5, rng.uniform(-1e6, 1e6), -1e300, 5e-324])
+            hi = lo + rng.choice([0.0, 1.0, 2.5, rng.uniform(0, 1e6), 1e300, 5e-324])
+            blocks = _samples(SampleConfig(count, seed), lo, hi)
+            draws = np.concatenate([xs.copy() for xs in blocks])
+            assert np.array_equal(draws, np.random.default_rng(seed).uniform(lo, hi, count)), \
+                (seed, lo, hi)
+
+    def test_a_range_past_the_largest_double_is_malformed_input(self):
+        fs = FloatSchedule.from_steps(-10**308, 10**308, (), (QuadraticMap(0.0, 1.0, 0.0),))
+        with pytest.raises(MalformedInput) as exc:
+            mc_correlation(fs, HALF, HALF, 1, SampleConfig(10))
+        assert "wider than the largest double" in str(exc.value)
+        assert mc_separation(fs, 0.0, 1.0, 1, SampleConfig(10)) <= 1.0
+
+    def test_two_threads_on_one_schedule_get_the_sequential_estimates(self):
+        fs = FloatSchedule.from_schedule(LANES["preamble"])
+        a, b = HALF, IntervalSet.parse(["(1/8,1/4]", "[1/3,3/4)"])
+        jobs = [(n, SampleConfig(_BLOCK * 2 + 1 + n, seed=n)) for n in range(8)]
+
+        def run(job):
+            n, cfg = job
+            return mc_correlation(fs, a, b, n, cfg), mc_separation(fs, 0.3, 0.1, n, cfg)
+
+        sequential = [run(job) for job in jobs]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for _ in range(3):
+                assert list(pool.map(run, jobs)) == sequential

@@ -20,8 +20,11 @@ for every reader outside the set algebra, as each part's ends in integer
 numerators over ``den`` with their openness flags: the text form, ``.parts``
 (the :class:`Interval` API), the grid lookups and the Monte Carlo masks.
 Its inverse :func:`_part` builds one-part sets such as the grid cells.  Outside
-the set algebra these two alone read and write keys, but for the memos' identity
-keys and ``PLMap``'s tiling check, which reads the :func:`affine_table` rows.
+the set algebra these two alone read and write keys, but for ``PLMap``'s tiling
+check, which reads the :func:`affine_table` rows, and the grid walks' batches:
+:func:`affine_batch` steps many sets at once as key tuples over one
+denominator, and the walks compare those tuples for identity, count two keys
+per part, and read ends and spans through :func:`_ends` and :func:`_span`.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
@@ -173,7 +177,8 @@ class Interval:
 
 
 def _pairs(keys) -> Iterator[tuple[int, int]]:
-    return zip(keys[::2], keys[1::2])
+    it = iter(keys)
+    return zip(it, it)
 
 
 def _scaled(keys, m: int):
@@ -189,20 +194,42 @@ def _overlaps(keys, lo: int, hi: int) -> list[int]:
     return [max(keys[i], lo), *keys[i + 1:j - 1], min(keys[j - 1], hi)] if i < j else []
 
 
-def _canonical(den: int, keys) -> "IntervalSet":
-    """The union of the nonempty parts in keys, in any order, over its least denominator."""
+def _merged(pairs) -> list[int]:
+    """The keys of the union of the nonempty (lo, hi) parts in pairs, in any order."""
     out: list[int] = []
-    for lo, hi in sorted(_pairs(keys)):
+    for lo, hi in sorted(pairs):
         if out and lo <= out[-1] + 1:
             out[-1] = max(out[-1], hi)
         else:
             out += (lo, hi)
+    return out
+
+
+def _coarser(keys, g: int) -> tuple[int, ...]:
+    """The keys on a lattice g times coarser; every closed value must be a multiple of g."""
+    if g == 1:
+        return tuple(keys)
+    return tuple([4 * (((k + 1) >> 2) // g) + ((k + 1) & 3) - 1 for k in keys])
+
+
+def _canonical(den: int, keys) -> "IntervalSet":
+    """The union of the nonempty parts in keys, in any order, over its least denominator."""
+    out = _merged(_pairs(keys))
     g = gcd(den, *[(k + 1) >> 2 for k in out])
-    if g > 1:
-        out = [4 * (((k + 1) >> 2) // g) + ((k + 1) & 3) - 1 for k in out]
     s = IntervalSet.__new__(IntervalSet)
-    s.den, s.keys = den // g, tuple(out)
+    s.den, s.keys = den // g, _coarser(out, g)
     return s
+
+
+def _ends(keys) -> Iterator[tuple[int, int, bool, bool]]:
+    """Each part of keys as ``(a, b, lo_open, hi_open)``, its ends' numerators and flags."""
+    for lo, hi in _pairs(keys):
+        yield (lo + 1) >> 2, (hi + 1) >> 2, lo & 3 == 1, hi & 3 == 3
+
+
+def _span(keys) -> int:
+    """The numerator of sup - inf of keys (0 for no keys)."""
+    return ((keys[-1] + 1) >> 2) - ((keys[0] + 1) >> 2) if keys else 0
 
 
 def _part(den: int, a: int, b: int, lo_open: bool, hi_open: bool) -> "IntervalSet":
@@ -278,8 +305,7 @@ class IntervalSet:
 
     def ends(self) -> Iterator[tuple[int, int, bool, bool]]:
         """Each part as ``(a, b, lo_open, hi_open)``: the part runs from a/den to b/den."""
-        for lo, hi in _pairs(self.keys):
-            yield (lo + 1) >> 2, (hi + 1) >> 2, lo & 3 == 1, hi & 3 == 3
+        return _ends(self.keys)
 
     @property
     def parts(self) -> tuple[Interval, ...]:
@@ -315,7 +341,7 @@ class IntervalSet:
 
     def span(self) -> int:
         """(sup - inf) * den, in integers (0 for the empty set)."""
-        return ((self.keys[-1] + 1) >> 2) - ((self.keys[0] + 1) >> 2) if self.keys else 0
+        return _span(self.keys)
 
     def diameter(self) -> Fraction:
         """sup - inf (0 for the empty set)."""
@@ -400,6 +426,25 @@ def affine_table(pieces) -> tuple[int, int, tuple]:
     return pden, q, tuple(rows)
 
 
+def _rows_on(table, den: int) -> list[tuple]:
+    """The rows of an :func:`affine_table` on the lattice den, a multiple of its pden.
+
+    Each row is ``(lo, hi, m, c, d)``: the part's keys over den, and the key
+    map k -> m*k + c - d*o, which sends a key k = 4v + o (o the openness) to
+    4*m*v + c + sign(m)*o over den * q.  A constant-set row keeps None for m
+    and its set's keys over q for c.
+    """
+    pden, q, rows = table
+    f = den // pden - 1
+    out = []
+    for lo, hi, m, c0 in rows:
+        if f:  # the part's keys on the finer lattice, as _scaled gives them
+            lo, hi = lo + f * (lo - ((lo + 1) & 3) + 1), hi + f * (hi - ((hi + 1) & 3) + 1)
+        out.append((lo, hi, None, c0, None) if m is None
+                   else (lo, hi, m, den * c0, m - (m > 0) + (m < 0)))
+    return out
+
+
 def piecewise_affine(s: IntervalSet, table) -> IntervalSet:
     """The union over the pieces of :func:`affine_table` of ``slope*(s ∩ part) + intercept``.
 
@@ -408,25 +453,63 @@ def piecewise_affine(s: IntervalSet, table) -> IntervalSet:
     canonicalized once.  A constant piece's set is taken whole when s meets
     its part.
     """
-    pden, q, rows = table
+    pden, q, _ = table
     den = lcm(s.den, pden)
     keys = _scaled(s.keys, den // s.den)
-    f = den // pden - 1
     got: list[int] = []
-    for lo, hi, m, c0 in rows:
-        if f:  # the part's keys on the finer lattice, as _scaled gives them
-            lo, hi = lo + f * (lo - ((lo + 1) & 3) + 1), hi + f * (hi - ((hi + 1) & 3) + 1)
+    for lo, hi, m, c, d in _rows_on(table, den):
         run = _overlaps(keys, lo, hi)
         if not run:
             continue
         if m is None:
-            got += _scaled(c0, den)
+            got += _scaled(c, den)
             continue
-        # a key k = 4v + o (o the openness) goes to 4*m*v + c + sign(m)*o
-        c, d = den * c0, m - (m > 0) + (m < 0)
         mapped = [m * k + c - d * (((k + 1) & 3) - 1) for k in run]
         got += mapped if m >= 0 else reversed(mapped)
     return _canonical(den * q, got)
+
+
+def common_lattice(sets) -> tuple[int, Iterator[list[int]]]:
+    """The least common denominator of the sets, and each set's keys over it, lazily."""
+    den = lcm(*(s.den for s in sets))
+    return den, (_scaled(s.keys, den // s.den) for s in sets)
+
+
+def affine_batch(den: int, batch: Iterable, table) -> tuple[int, list[tuple[int, ...]]]:
+    """:func:`piecewise_affine` of every set of a batch at once, for a forward table.
+
+    The batch holds each set as its keys over the one den (see
+    :func:`common_lattice`), and so does the result: one image per set, in
+    order, over the images' least common denominator, so that two images
+    are the same set iff their key tuples are equal.  Each part finds the
+    rows it meets by binary search over the rows' upper keys and is cut to
+    each by max/min; each image's parts are sorted and merged, and the
+    whole batch is reduced by one gcd.
+    """
+    pden, q, _ = table
+    lat = lcm(den, pden)
+    f = lat // den
+    rows = _rows_on(table, lat)
+    his = [row[1] for row in rows]
+    out: list[int] = []
+    ends = [0]  # image i is out[ends[i]:ends[i + 1]]
+    for keys in batch:
+        if f > 1:
+            keys = _scaled(keys, f)
+        got = []
+        for lo, hi in _pairs(keys):
+            for rlo, rhi, m, c, d in islice(rows, bisect_left(his, lo), None):
+                if rlo > hi:
+                    break
+                a = lo if lo > rlo else rlo
+                b = hi if hi < rhi else rhi
+                a, b = m * a + c - d * (((a + 1) & 3) - 1), m * b + c - d * (((b + 1) & 3) - 1)
+                got.append((a, b) if m >= 0 else (b, a))
+        out += got[0] if len(got) == 1 else _merged(got)
+        ends.append(len(out))
+    g = gcd(lat * q, *[(k + 1) >> 2 for k in out])
+    out = _coarser(out, g)
+    return lat * q // g, [out[i:j] for i, j in zip(ends, ends[1:])]
 
 
 EMPTY_SET = IntervalSet(())

@@ -8,9 +8,11 @@ as an eventually-periodic sequence of maps; the orbit map for the first
 n steps is the composition of f_0 .. f_{n-1}.
 
 Forward images and preimages of interval sets are exact.  Iterated
-preimages can grow their part count exponentially, so every iteration goes
-through :func:`propagate`, which guards each step with a
-:class:`PropagationBudget`: exceeding it raises hard, never truncates.
+preimages can grow their part count exponentially, so every iteration of one
+set goes through :func:`propagate`, which guards each step with a
+:class:`PropagationBudget`: exceeding it raises hard, never truncates.  The
+grid walks of :mod:`nadyn.topology` step all their cells at once instead,
+through :func:`nadyn.intervals.affine_batch`, under the same budget rule.
 """
 
 from __future__ import annotations
@@ -198,33 +200,23 @@ DEFAULT_BUDGET = PropagationBudget()
 
 def propagate(
     sch: Schedule, s: IntervalSet, steps: Iterable[int], budget: PropagationBudget,
-    *, inverse: bool = False, memo: dict | None = None,
+    *, inverse: bool = False,
 ) -> Iterator[IntervalSet]:
     """Yield s pushed through ``sch.map_at(i)`` for each i in steps, in turn.
 
     With ``inverse`` each step takes the preimage, so a preimage chain lists
     its map indices last to first.  Each yielded set has passed
-    ``budget.check``, with steps numbered from 1 along this chain.  A
-    ``memo`` dict maps each state stepped so far, ``(sch.phase(i), s.den,
-    s.keys)``, to its next set; chains of one direction that share it step
-    each distinct state once, and a state met again is looked up, its check
-    still counted along the chain that meets it.  A forward chain checks
-    that s lies in the domain once, at its first step (OutOfDomain); each
-    image after it is in the domain, since every map is a self-map.
+    ``budget.check``, with steps numbered from 1 along this chain.  A forward
+    chain checks that s lies in the domain once, at its first step
+    (OutOfDomain); each image after it is in the domain, since every map is a
+    self-map.  This is the chain of one set; the grid walks step all their
+    cells together (``topology._walk``).
     """
     tables = [m._backward if inverse else m._forward for m in sch.preamble + sch.cycle]
     for step, i in enumerate(steps, start=1):
         if step == 1 and not inverse:
             check_within(s, sch.domain)
-        p = sch.phase(i)
-        # a canonical set is its (den, keys), which hash and compare in C
-        key = None if memo is None else (p, s.den, s.keys)
-        nxt = None if key is None else memo.get(key)
-        if nxt is None:
-            nxt = piecewise_affine(s, tables[p])
-            if key is not None:
-                memo[key] = nxt
-        s = nxt
+        s = piecewise_affine(s, tables[sch.phase(i)])
         budget.check(step, s)
         yield s
 

@@ -13,6 +13,10 @@ every analysis returns one of three honest outcomes:
 
 Hitting-time indices start at 1 (the first applied map); correlation
 lags elsewhere start at 0.  Both conventions are surfaced in reports.
+
+Both grid walks, the hitting matrix and the sensitivity search, step all
+their cells together (:func:`_walk`): one batched step per map, and cells
+whose images coincide at a step share one group from then on.
 """
 
 from __future__ import annotations
@@ -34,7 +38,17 @@ from .errors import (
     OutOfDomain,
     ScaleMismatch,
 )
-from .intervals import Interval, IntervalSet, _part, _quoted, as_rational
+from .intervals import (
+    Interval,
+    IntervalSet,
+    _ends,
+    _part,
+    _quoted,
+    _span,
+    affine_batch,
+    as_rational,
+    common_lattice,
+)
 from .plmaps import DEFAULT_BUDGET, PropagationBudget, Schedule, check_within, propagate
 
 CERTIFIED_FAIL = "CERTIFIED_FAIL"
@@ -270,12 +284,59 @@ def _charge(budget: PropagationBudget, noun: str, width: Fraction, k: int, power
                          f"{cells} cells, {what} {cap} parts")
 
 
+def _walk(sch: Schedule, cells: tuple[IntervalSet, ...], horizon: int,
+          budget: PropagationBudget) -> Iterator[tuple[int, int, list]]:
+    """Step every cell together, one :func:`affine_batch` per map: yield (n, den, groups).
+
+    groups lists each distinct n-step image of the cells once, as [keys, members]:
+    its keys over den, which every group shares, and the indices of the cells
+    whose image it is.  Cells with equal images at one step share a group from
+    then on, since equal sets at one step have equal futures.  The consumer may
+    delete groups from the list it is given; they are not stepped again.
+
+    The budget is checked on each group at each step.  A group past it is
+    dropped, and so is every group whose cells all come after the lowest-index
+    cell past it so far; once the walk ends, BudgetExceeded is raised with the
+    step and part count of that cell's first overflow, as a walk of each cell
+    in turn would raise it.
+    """
+    tables = [m._forward for m in sch.preamble + sch.cycle]
+    den, batch = common_lattice(cells)
+    members = ([i] for i in range(len(cells)))
+    cap = 2 * budget.max_parts  # in keys, two per part
+    over = None  # (cell, step, parts) of the lowest-index cell past the budget so far
+    for n in range(1, horizon + 1):
+        den, images = affine_batch(den, batch, tables[sch.phase(n - 1)])
+        merged: dict[tuple, list] = {}
+        for keys, cells_in in zip(images, members):
+            group = merged.get(keys)
+            if group is None:
+                merged[keys] = [keys, cells_in]
+            else:
+                group[1] += cells_in
+        groups = list(merged.values())
+        if max(map(len, merged)) > cap:
+            for keys, cells_in in groups:
+                first = min(cells_in)
+                if len(keys) > cap and (over is None or first < over[0]):
+                    over = (first, n, len(keys) // 2)
+        if over is not None:
+            groups = [group for group in groups if min(group[1]) < over[0]]
+        yield n, den, groups
+        if not groups:
+            break
+        batch = [keys for keys, _ in groups]
+        members = [cells_in for _, cells_in in groups]
+    if over is not None:
+        raise BudgetExceeded(over[1], over[2], budget.max_parts)
+
+
 # matrices kept by hitting_matrix: the three verdicts of one (g, H) share one
 _MATRIX_MEMO_SIZE = 4
 
 
-def _cell_cuts(s: IntervalSet, k: int, den: int, a0: int, w: int) -> tuple[int, ...]:
-    """The open cells of a _grid that s meets, as cut indices.
+def _cell_cuts(sden: int, keys, k: int, den: int, a0: int, w: int) -> list[int]:
+    """The open cells of a _grid that the set of keys over sden meets, as cut indices.
 
     Cell i is met iff an odd number of the cuts are <= i: the cuts are the
     ends a, b of the merged ranges [a, b) of met cells.  A part with interior
@@ -283,12 +344,13 @@ def _cell_cuts(s: IntervalSet, k: int, den: int, a0: int, w: int) -> tuple[int, 
     meets a cell only strictly inside it.  Two parts that meet one cell share
     a range, so the cuts toggle each met cell exactly once.
     """
-    # an end a/s.den lies (a*den - c)/d cells past the first cell's start
-    c, d = a0 * s.den, w * s.den
+    # an end a/sden lies (a*den - c)/d cells past the first cell's start
+    c, d = a0 * sden, w * sden
     cuts: list[int] = []
-    for a, b, _, _ in s.ends():
+    for a, b, _, _ in _ends(keys):
         if a < b:
-            lo, hi = max(0, (a * den - c) // d), min(k, -((c - b * den) // d))
+            lo, hi = (a * den - c) // d, -((c - b * den) // d)
+            lo, hi = lo if lo > 0 else 0, hi if hi < k else k
         else:
             lo, r = divmod(a * den - c, d)
             hi = lo + 1 if r else lo  # a point on a cell boundary meets no cell
@@ -298,7 +360,7 @@ def _cell_cuts(s: IntervalSet, k: int, den: int, a0: int, w: int) -> tuple[int, 
             cuts[-1] = max(cuts[-1], hi)
         else:
             cuts += (lo, hi)
-    return tuple(cuts)
+    return cuts
 
 
 @lru_cache(maxsize=_MATRIX_MEMO_SIZE)
@@ -309,22 +371,16 @@ def _hitting_matrix(
     _check_horizon(horizon)
     _charge(budget, "grid", g, k, 2, "whose k*k masks exceed")
     cells = _cells(*grid)
-    memo: dict = {}  # (phase, set) -> image, shared by every cell's chain
-    cuts: dict[tuple, tuple[int, ...]] = {}  # (den, keys) of each distinct image -> its cuts
-    masks = []
-    for cell in cells:
-        # bit n-1 of tog[j] flips at each cut j of the n-step image; the row is the prefix xor
-        tog = [0] * (k + 1)
-        images = propagate(sch, cell, range(horizon), budget, memo=memo)
-        for n, cur in enumerate(images, start=1):
-            bit = 1 << (n - 1)
-            met = cuts.get((cur.den, cur.keys))
-            if met is None:
-                met = cuts[cur.den, cur.keys] = _cell_cuts(cur, *grid)
-            for j in met:
-                tog[j] ^= bit
-        masks.append(tuple(accumulate(tog[:k], xor)))
-    return cells, tuple(masks)
+    # bit n-1 of togs[u][j] flips at each cut j of the n-step image of cell u
+    togs = [[0] * (k + 1) for _ in range(k)]
+    for n, den, groups in _walk(sch, cells, horizon, budget):
+        bit = 1 << (n - 1)
+        for keys, members in groups:
+            for j in _cell_cuts(den, keys, *grid):
+                for u in members:
+                    togs[u][j] ^= bit
+    # each row is the prefix xor of its toggles
+    return cells, tuple(tuple(accumulate(tog[:k], xor)) for tog in togs)
 
 
 def hitting_matrix(
@@ -516,28 +572,33 @@ def sensitivity_certificate(
     if delta <= 0:
         raise ValueError("delta must be positive")
     _check_horizon(horizon)
-    k, *_ = grid = _grid(sch.domain, scale, ScaleMismatch, "cell")
+    k, cell_den, _, w = grid = _grid(sch.domain, scale, ScaleMismatch, "cell")
     _charge(budget, "cell", scale, k, 1, "which exceed")
     gnum, gden = (2 * delta).as_integer_ratio()
-    memo: dict = {}  # (phase, set) -> image, shared by every cell's chain
-    found: list[CellWitness] = []
-    failed: list[CellFailure] = []
-    for cell in _cells(*grid, closed=True):
-        widest = cell  # the chain's start, then its widest set so far
-        for n, cur in enumerate(propagate(sch, cell, range(horizon), budget, memo=memo),
-                                start=1):
-            span = cur.span()
-            if span * gden > gnum * cur.den:  # diameter > 2*delta, in integers
-                found.append(CellWitness(cell=cell.parts[0], n=n, diameter=cur.diameter()))
-                break
-            if span * widest.den > widest.span() * cur.den:
-                widest = cur
-        else:
-            failed.append(CellFailure(cell=cell.parts[0], max_diameter=widest.diameter()))
+    cells = _cells(*grid, closed=True)
+    found: dict[int, CellWitness] = {}
+    widest = [(w, cell_den)] * k  # each chain's widest set so far, as (span, den)
+    for n, den, groups in _walk(sch, cells, horizon, budget):
+        kept = []
+        for group in groups:
+            keys, members = group
+            span = _span(keys)
+            if span * gden > gnum * den:  # diameter > 2*delta, in integers
+                diameter = Fraction(span, den)
+                for u in members:
+                    found[u] = CellWitness(cell=cells[u].parts[0], n=n, diameter=diameter)
+                continue
+            kept.append(group)
+            for u in members:
+                if span * widest[u][1] > widest[u][0] * den:
+                    widest[u] = (span, den)
+        groups[:] = kept
+    failed = [CellFailure(cell=cell.parts[0], max_diameter=Fraction(*widest[u]))
+              for u, cell in enumerate(cells) if u not in found]
     if failed:
         return SensitivityFailure(
             delta=delta, scale=scale, horizon=horizon, failures=tuple(failed)
         )
     return SensitivityCertificate(
-        delta=delta, scale=scale, horizon=horizon, per_cell=tuple(found)
+        delta=delta, scale=scale, horizon=horizon, per_cell=tuple(found[u] for u in range(k))
     )

@@ -1,10 +1,11 @@
 """The two grid walks against plain references: the hitting matrix and its
-memo, and the sensitivity certificate.
+memo, the sensitivity certificate, and the budget rule of their batched walk.
 
 The matrix reference is the k-target loop the verdicts used before the
 matrix existed: every image step asks every cell ``meets``.  The
-sensitivity reference walks each cell's chain with ``propagate`` and no
-state memo, and compares ``Fraction`` diameters.
+sensitivity reference walks each cell's chain with ``propagate``, one cell
+after another, and compares ``Fraction`` diameters.  The budget reference
+walks the cells the same way and reports the first overflow it meets.
 """
 
 from collections import defaultdict
@@ -35,6 +36,7 @@ from nadyn import (
     transitivity_verdict,
     weakmix_verdict,
 )
+from nadyn.intervals import affine_batch
 
 VERDICTS = [transitivity_verdict, weakmix_verdict, mixing_verdict]
 
@@ -142,7 +144,7 @@ def grid_systems(draw):
 
 def reference_sensitivity(sch, delta, scale, horizon):
     """Each closed cell's (cell, n, diameter) witness or (cell, max diameter) failure,
-    and the (phase, set) states each chain steps, with no memo."""
+    and the (phase, set) states each chain steps."""
     witnesses, failures, states = [], [], []
     for cell in closed_grid(sch.domain, scale):
         s = IntervalSet((cell,))
@@ -207,6 +209,92 @@ def test_a_failing_cell_reports_its_widest_set():
     res = sensitivity_certificate(tent_then_half, F(1, 4), F(1, 4), 4)
     assert [f.max_diameter for f in res.failures] == [F(1, 2)] * 4
     assert_sensitivity_equals_reference(tent_then_half, F(1, 4), F(1, 4), 4)
+
+
+def first_overflow(sch, cells, horizon, budget, done=lambda s: False):
+    """The (step, parts) of the first overflow met when each cell's chain is walked in
+    turn with propagate, each until done(set) ends it; None if no chain overflows."""
+    for cell in cells:
+        try:
+            for cur in propagate(sch, cell, range(horizon), budget):
+                if done(cur):
+                    break
+        except BudgetExceeded as exc:
+            return exc.step, exc.parts
+    return None
+
+
+def raised(walk):
+    try:
+        walk()
+    except BudgetExceeded as exc:
+        return exc.step, exc.parts
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_systems(), st.integers(1, 3), st.integers(1, 16), st.booleans())
+def test_a_walk_raises_iff_a_cell_chain_overflows_and_as_it_does(system, max_parts,
+                                                                 sixteenths, halve):
+    sch, g, horizon = system
+    budget = PropagationBudget(max_parts)
+    assert (raised(lambda: hitting_matrix(sch, g, horizon, budget))
+            == first_overflow(sch, open_grid(sch.domain, g), horizon, budget))
+    delta, scale = (sch.domain.hi - sch.domain.lo) * F(sixteenths, 32), g / 2 if halve else g
+    cells = [IntervalSet((cell,)) for cell in closed_grid(sch.domain, scale)]
+    assert (raised(lambda: sensitivity_certificate(sch, delta, scale, horizon, budget))
+            == first_overflow(sch, cells, horizon, budget, lambda s: s.diameter() > 2 * delta))
+
+
+_HALVE = make_plmap(_UNIT, [(Interval(0, F(7, 8)), F(1, 2), 0),
+                            (Interval(F(7, 8), 1, lo_open=True), F(1, 2), F(1, 2))])
+# cuts every set that straddles 1/16 or 1/2 into apart parts
+_LIFT = make_plmap(_UNIT, [(Interval(0, F(1, 16)), 1, 0),
+                           (Interval(F(1, 16), F(1, 2), lo_open=True), 1, F(1, 2)),
+                           (Interval(F(1, 2), 1, lo_open=True), 1, F(-1, 2))])
+GRID_WALKS = [
+    lambda sch, budget: hitting_matrix(sch, F(1, 4), 4, budget),
+    lambda sch, budget: sensitivity_certificate(sch, F(1, 2), F(1, 4), 4, budget),
+]
+
+
+class TestBudgetRule:
+    """A walk past the budget reports the lowest-index cell that overflows, at its
+    first overflowing step, as a walk of each cell in turn would."""
+
+    @pytest.mark.parametrize("walk", GRID_WALKS, ids=["matrix", "sensitivity"])
+    def test_a_lower_cell_overflowing_later_is_reported(self, walk):
+        # the last cell splits at step 1, since (3/4, 1) meets both pieces of _HALVE;
+        # the first cell splits at step 2, when _LIFT cuts its image (0, 1/8) at 1/16
+        sch = Schedule((), (_HALVE, _LIFT), _UNIT)
+        budget = PropagationBudget(1)
+        assert first_overflow(sch, open_grid(_UNIT, F(1, 4))[3:], 4, budget) == (1, 2)
+        assert first_overflow(sch, open_grid(_UNIT, F(1, 4)), 4, budget) == (2, 2)
+        assert raised(lambda: walk(sch, budget)) == (2, 2)
+
+    @pytest.mark.parametrize("walk", GRID_WALKS, ids=["matrix", "sensitivity"])
+    def test_a_merged_group_overflows_at_its_step(self, walk, monkeypatch):
+        # tent sends the first and the last cell onto one set, which _LIFT then splits
+        sch = Schedule((), (bundled_example("tent").cycle[0], _LIFT), _UNIT)
+        batches = []
+        monkeypatch.setattr("nadyn.topology.affine_batch", lambda den, batch, table:
+                            batches.append(batch := list(batch)) or affine_batch(den, batch, table))
+        assert raised(lambda: walk(sch, PropagationBudget(1))) == (2, 2)
+        assert list(map(len, batches)) == [4, 2]  # 4 cells, then 2 groups; none past step 2
+
+
+class TestMerge:
+    def test_tent_steps_far_fewer_sets_than_cells_times_steps(self, monkeypatch):
+        stepped = []
+        monkeypatch.setattr("nadyn.topology.affine_batch", lambda den, batch, table:
+                            stepped.append(len(batch := list(batch))) or
+                            affine_batch(den, batch, table))
+        tent = bundled_example("tent")
+        cells, masks = hitting_matrix(tent, F(1, 1024), 30)
+        assert len(stepped) == 30 and stepped[0] == 1024
+        # cells u and 1023 - u share their image from step 1, and the groups keep halving
+        assert stepped[1] == 512 and sum(stepped) < 30 * 1024 // 10
+        assert masks[0] == masks[1023] and masks[0] != masks[1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -321,7 +409,7 @@ class TestCellCap:
         def unreached(*args, **kwargs):
             raise AssertionError("a cell was stepped")
 
-        monkeypatch.setattr("nadyn.topology.propagate", unreached)
+        monkeypatch.setattr("nadyn.topology.affine_batch", unreached)
         with pytest.raises(BudgetExceeded) as exc:
             sensitivity_certificate(bundled_example("tent"), F(1, 8), F(1, 10**7), 1,
                                     PropagationBudget(64))
@@ -338,7 +426,7 @@ class TestCellCap:
         def reached(*args, **kwargs):
             raise Reached
 
-        monkeypatch.setattr("nadyn.topology.propagate", reached)
+        monkeypatch.setattr("nadyn.topology.affine_batch", reached)
         with pytest.raises(Reached):
             sensitivity_certificate(bundled_example("tent"), F(1, 8), F(1, k), 1, budget)
         with pytest.raises(BudgetExceeded):

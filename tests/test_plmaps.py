@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 from itertools import islice
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,7 @@ from nadyn import (
     transitivity_verdict,
     weakmix_verdict,
 )
-from nadyn.intervals import piecewise_affine
+from nadyn.intervals import _canonical, affine_batch, common_lattice
 from nadyn.plmaps import check_within
 from randgen import UNIT, interval_sets_in, intervals_in, maps_with_sets, plmaps, schedules
 
@@ -301,17 +302,6 @@ class TestPropagate:
                            inverse=True))
         assert (exc.value.step, exc.value.parts) == (2, 3)
 
-    def test_a_shared_memo_steps_each_state_once(self, monkeypatch):
-        s, calls = iset("[1/2,5/8]"), []
-        monkeypatch.setattr("nadyn.plmaps.piecewise_affine",
-                            lambda s, table: calls.append(s) or piecewise_affine(s, table))
-        memo = {}
-        first = list(propagate(ALT, s, range(6), PropagationBudget(), memo=memo))
-        assert first == list(propagate(ALT, s, range(6), PropagationBudget()))
-        assert len(calls) == 6 + len(memo) == 6 + 5  # [0,1] recurs at the tent phase
-        assert list(propagate(ALT, s, range(6), PropagationBudget(), memo=memo)) == first
-        assert len(calls) == 11
-
     def test_a_forward_chain_checks_its_start_once_at_its_first_step(self, monkeypatch):
         checked = []
         monkeypatch.setattr("nadyn.plmaps.check_within",
@@ -331,22 +321,6 @@ class TestPropagate:
         assert list(propagate(TENT, iset("[2,3]"), range(0), PropagationBudget())) == []
         assert list(propagate(TENT, iset("[2,3]"), range(2), PropagationBudget(),
                               inverse=True)) == [iset([])] * 2
-
-    def test_a_memo_keeps_phases_apart(self):
-        # the same set at an odd start meets doubling first, not tent
-        s, memo = iset("[1/2,5/8]"), {}
-        for steps in (range(4), range(1, 5), range(4), range(1, 5)):
-            plain = list(propagate(ALT, s, steps, PropagationBudget()))
-            assert list(propagate(ALT, s, steps, PropagationBudget(), memo=memo)) == plain
-
-    def test_a_memo_hit_is_checked_at_its_step_along_the_chain(self):
-        s, memo = iset("[0,1/2]"), {}
-        list(propagate(TENT, s, reversed(range(2)), PropagationBudget(), inverse=True, memo=memo))
-        for _ in range(2):  # both steps up to the overflow are memo hits
-            with pytest.raises(BudgetExceeded) as exc:
-                list(propagate(TENT, s, reversed(range(5)), PropagationBudget(2),
-                               inverse=True, memo=memo))
-            assert (exc.value.step, exc.value.parts) == (2, 3)
 
     def test_computes_only_the_steps_taken(self):
         # a third preimage would hold 5 parts; stopping after two never makes it
@@ -465,6 +439,18 @@ def test_image_membership_of_evaluated_points(case):
         x = m.domain.lo + (m.domain.hi - m.domain.lo) * F(k, 64)
         if a.contains_point(x):
             assert img.contains_point(m.eval_point(x))
+
+
+@given(st.sampled_from(_DOMAINS).flatmap(lambda d: st.tuples(
+    plmaps(domain=d), st.lists(interval_sets_in(d.lo, d.hi), max_size=6))))
+def test_a_batched_step_equals_each_sets_step(case):
+    m, sets = case
+    den, images = affine_batch(*common_lattice(sets), m._forward)
+    steps = [m.image_set(s) for s in sets]
+    assert [_canonical(den, keys) for keys in images] == steps
+    assert den == lcm(1, *(s.den for s in steps))  # the least common denominator
+    assert all((a == b) == (s == t) for a, s in zip(images, steps)
+               for b, t in zip(images, steps))
 
 
 @given(interval_sets_in())

@@ -21,10 +21,11 @@ numerators over ``den`` with their openness flags: the text form, ``.parts``
 (the :class:`Interval` API), the grid lookups and the Monte Carlo masks.
 Its inverse :func:`_part` builds one-part sets such as the grid cells.  Outside
 the set algebra these two alone read and write keys, but for ``PLMap``'s tiling
-check, which reads the :func:`affine_table` rows, and the grid walks' batches:
-:func:`affine_batch` steps many sets at once as key tuples over one
-denominator, and the walks compare those tuples for identity, count two keys
-per part, and read ends and spans through :func:`_ends` and :func:`_span`.
+check, which reads the :func:`affine_table` rows, and the grid walks' batches.
+:func:`affine_batch`, the one step kernel, maps a batch of sets as key tuples
+over one denominator (:func:`piecewise_affine` is its batch of one), and the
+walks compare those tuples for identity, count two keys per part, and read
+ends and spans through :func:`_ends` and :func:`_span`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
@@ -426,47 +426,14 @@ def affine_table(pieces) -> tuple[int, int, tuple]:
     return pden, q, tuple(rows)
 
 
-def _rows_on(table, den: int) -> list[tuple]:
-    """The rows of an :func:`affine_table` on the lattice den, a multiple of its pden.
-
-    Each row is ``(lo, hi, m, c, d)``: the part's keys over den, and the key
-    map k -> m*k + c - d*o, which sends a key k = 4v + o (o the openness) to
-    4*m*v + c + sign(m)*o over den * q.  A constant-set row keeps None for m
-    and its set's keys over q for c.
-    """
-    pden, q, rows = table
-    f = den // pden - 1
-    out = []
-    for lo, hi, m, c0 in rows:
-        if f:  # the part's keys on the finer lattice, as _scaled gives them
-            lo, hi = lo + f * (lo - ((lo + 1) & 3) + 1), hi + f * (hi - ((hi + 1) & 3) + 1)
-        out.append((lo, hi, None, c0, None) if m is None
-                   else (lo, hi, m, den * c0, m - (m > 0) + (m < 0)))
-    return out
-
-
 def piecewise_affine(s: IntervalSet, table) -> IntervalSet:
     """The union over the pieces of :func:`affine_table` of ``slope*(s ∩ part) + intercept``.
 
-    Each overlap is found by binary search in the keys and mapped key by key
-    by an integer multiply-add on one lattice, and the union is
-    canonicalized once.  A constant piece's set is taken whole when s meets
-    its part.
+    The :func:`affine_batch` step of a batch of one set.
     """
-    pden, q, _ = table
-    den = lcm(s.den, pden)
-    keys = _scaled(s.keys, den // s.den)
-    got: list[int] = []
-    for lo, hi, m, c, d in _rows_on(table, den):
-        run = _overlaps(keys, lo, hi)
-        if not run:
-            continue
-        if m is None:
-            got += _scaled(c, den)
-            continue
-        mapped = [m * k + c - d * (((k + 1) & 3) - 1) for k in run]
-        got += mapped if m >= 0 else reversed(mapped)
-    return _canonical(den * q, got)
+    t = IntervalSet.__new__(IntervalSet)
+    t.den, (t.keys,) = affine_batch(s.den, (s.keys,), table)
+    return t
 
 
 def common_lattice(sets) -> tuple[int, Iterator[list[int]]]:
@@ -476,39 +443,55 @@ def common_lattice(sets) -> tuple[int, Iterator[list[int]]]:
 
 
 def affine_batch(den: int, batch: Iterable, table) -> tuple[int, list[tuple[int, ...]]]:
-    """:func:`piecewise_affine` of every set of a batch at once, for a forward table.
+    """The union over the pieces of a table of ``slope*(s ∩ part) + intercept``, for each s.
 
-    The batch holds each set as its keys over the one den (see
-    :func:`common_lattice`), and so does the result: one image per set, in
-    order, over the images' least common denominator, so that two images
-    are the same set iff their key tuples are equal.  Each part finds the
-    rows it meets by binary search over the rows' upper keys and is cut to
-    each by max/min; each image's parts are sorted and merged, and the
-    whole batch is reduced by one gcd.
+    The table is an :func:`affine_table`, forward or backward.  The batch
+    holds each set as its keys over the one den (see :func:`common_lattice`),
+    and so does the result: one image per set, in order, over the images'
+    least common denominator, so that two images are the same set iff their
+    key tuples are equal.  On the common lattice lat of den and the parts, a
+    row's part (lo, hi) sends each key k = 4v + o (o the openness) by
+    k -> m*k + c - d*o to 4*m*v + c + sign(m)*o over lat * q.  A row that
+    misses a set's hull is skipped, one that covers it takes the keys whole,
+    and any other finds its overlap by binary search; a constant piece's set
+    is taken whole when s meets its part.  Each image's parts are merged,
+    and the whole batch is reduced by one gcd.
     """
-    pden, q, _ = table
+    pden, q, table_rows = table
     lat = lcm(den, pden)
     f = lat // den
-    rows = _rows_on(table, lat)
-    his = [row[1] for row in rows]
+    rows = []
+    for lo, hi, m, c0 in table_rows:
+        lo, hi = _scaled((lo, hi), lat // pden)
+        rows.append((lo, hi, None, _scaled(c0, lat), None) if m is None
+                    else (lo, hi, m, lat * c0, m - (m > 0) + (m < 0)))
     out: list[int] = []
     ends = [0]  # image i is out[ends[i]:ends[i + 1]]
     for keys in batch:
         if f > 1:
             keys = _scaled(keys, f)
-        got = []
-        for lo, hi in _pairs(keys):
-            for rlo, rhi, m, c, d in islice(rows, bisect_left(his, lo), None):
-                if rlo > hi:
-                    break
-                a = lo if lo > rlo else rlo
-                b = hi if hi < rhi else rhi
+        got: list[int] = []
+        for lo, hi, m, c, d in rows if keys else ():
+            if keys[-1] < lo or hi < keys[0]:
+                continue
+            run = keys if lo <= keys[0] and keys[-1] <= hi else _overlaps(keys, lo, hi)
+            if not run:
+                continue
+            if m is None:
+                got += c
+            elif len(run) == 2:
+                a, b = run
                 a, b = m * a + c - d * (((a + 1) & 3) - 1), m * b + c - d * (((b + 1) & 3) - 1)
-                got.append((a, b) if m >= 0 else (b, a))
-        out += got[0] if len(got) == 1 else _merged(got)
+                got += (a, b) if m >= 0 else (b, a)
+            else:
+                mapped = [m * k + c - d * (((k + 1) & 3) - 1) for k in run]
+                got += mapped if m >= 0 else reversed(mapped)
+        out += got if len(got) <= 2 else _merged(_pairs(got))
         ends.append(len(out))
     g = gcd(lat * q, *[(k + 1) >> 2 for k in out])
     out = _coarser(out, g)
+    if len(ends) == 2:
+        return lat * q // g, [out]
     return lat * q // g, [out[i:j] for i, j in zip(ends, ends[1:])]
 
 

@@ -12,7 +12,8 @@ preimages can grow their part count exponentially, so every iteration of one
 set goes through :func:`propagate`, which guards each step with a
 :class:`PropagationBudget`: exceeding it raises hard, never truncates.  The
 grid walks of :mod:`nadyn.topology` step all their cells at once instead,
-through :func:`nadyn.intervals.affine_batch`, under the same budget rule.
+under the same budget rule.  Both reach one kernel,
+:func:`nadyn.intervals.affine_batch`: a single set's step is its batch of one.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class PLMap:
 
     domain: Interval
     pieces: tuple[Piece, ...]
-    # affine_table(...) step constants for piecewise_affine, built once here
+    # affine_table(...) step constants, forward and backward, built once here
     _forward: tuple = field(init=False, repr=False, compare=False)
     _backward: tuple = field(init=False, repr=False, compare=False)
 
@@ -142,6 +143,8 @@ class Schedule:
     preamble: tuple[PLMap, ...]
     cycle: tuple[PLMap, ...]
     domain: Interval
+    # the field-wise hash, computed on the first __hash__ (the matrix memo's key)
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.cycle:
@@ -151,6 +154,11 @@ class Schedule:
                 raise MalformedInterval(
                     f"all maps must share the domain {self.domain}, got {m.domain}"
                 )
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.preamble, self.cycle, self.domain)))
+        return self._hash
 
     @classmethod
     def constant(cls, m: PLMap) -> "Schedule":

@@ -37,6 +37,7 @@ from nadyn import (
     weakmix_verdict,
 )
 from nadyn.intervals import affine_batch
+from nadyn.topology import _hitting_matrix
 
 VERDICTS = [transitivity_verdict, weakmix_verdict, mixing_verdict]
 
@@ -466,10 +467,14 @@ class TestMemo:
             ])
 
         a, b = build(), build()
-        assert a is not b and a == b
+        assert a is not b and a == b and hash(a) == hash(b)
         for verdict in VERDICTS:
             assert verdict(a, F(1, 8), 9) == verdict(b, F(1, 8), 9)
-        assert hitting_matrix(b, F(1, 8), 9) == reference_matrix(a, F(1, 8), 9)
+        before = _hitting_matrix.cache_info()
+        matrix = hitting_matrix(b, F(1, 8), 9)
+        after = _hitting_matrix.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)  # a's entry
+        assert matrix == reference_matrix(a, F(1, 8), 9)
 
     def test_different_schedules_do_not_share_a_matrix(self):
         g, horizon = F(1, 4), 3

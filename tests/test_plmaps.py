@@ -3,7 +3,7 @@ from itertools import islice
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nadyn import (
@@ -441,12 +441,22 @@ def test_image_membership_of_evaluated_points(case):
             assert img.contains_point(m.eval_point(x))
 
 
+_CONSTANT_PIECE = make_plmap(UNIT, [(Interval(0, F(1, 2)), 0, F(1, 3)),
+                                    (Interval(F(1, 2), 1, lo_open=True), 2, -1)])
+
+
 @given(st.sampled_from(_DOMAINS).flatmap(lambda d: st.tuples(
-    plmaps(domain=d), st.lists(interval_sets_in(d.lo, d.hi), max_size=6))))
+    plmaps(domain=d),
+    st.lists(st.one_of(st.just(IntervalSet()), interval_sets_in(d.lo, d.hi)), max_size=6),
+    st.booleans())))
+@example((TENT.cycle[0], [], False))
+@example((_CONSTANT_PIECE, [], True))
+@example((_CONSTANT_PIECE, [IntervalSet(), iset("[1/4,1/3]"), iset("[0,1]")], True))
 def test_a_batched_step_equals_each_sets_step(case):
-    m, sets = case
-    den, images = affine_batch(*common_lattice(sets), m._forward)
-    steps = [m.image_set(s) for s in sets]
+    m, sets, backward = case
+    table, step = (m._backward, m.preimage_set) if backward else (m._forward, m.image_set)
+    den, images = affine_batch(*common_lattice(sets), table)
+    steps = [step(s) for s in sets]
     assert [_canonical(den, keys) for keys in images] == steps
     assert den == lcm(1, *(s.den for s in steps))  # the least common denominator
     assert all((a == b) == (s == t) for a, s in zip(images, steps)

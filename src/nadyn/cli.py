@@ -25,7 +25,8 @@ import json
 import os
 import re
 import sys
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, compress
+from operator import add
 from typing import Iterable
 
 from . import __version__
@@ -66,6 +67,7 @@ from .sysio import (
     schedule_to_dict,
 )
 from .topology import (
+    PairPairs,
     SensitivityCertificate,
     SensitivityFailure,
     Verdict,
@@ -160,8 +162,7 @@ def _verdict_json(v: Verdict, sch: Schedule) -> dict:
     if v.tail is not None:
         doc["tail"] = v.tail
     if v.grid is not None:
-        # each label is encoded once, and each row is written as text around the
-        # labels it names: a weak-mixing listing names k^2 labels in k^4 rows
+        # each label is encoded once: a weak-mixing listing names k^2 labels in k^4 rows
         cells = [str(c) for c in open_grid(sch.domain, v.grid)]
         if v.witnesses.pairs:
             labels, first, second = [[cu, cw] for cu in cells for cw in cells], "pair1", "pair2"
@@ -169,10 +170,8 @@ def _verdict_json(v: Verdict, sch: Schedule) -> dict:
             labels, first, second = cells, "U", "V"
         texts = [_dumps(label) for label in labels]
         score = "tail_start" if v.property_name == "mixing" else "n"
-        doc["witnesses"] = _Encoded(f'{{"{first}":{a},"{second}":{b},"{score}":{n}}}'
-                                    for a, b, n in v.witnesses.rows(texts))
-        doc["unhit"] = _Encoded(f'{{"{first}":{a},"{second}":{b}}}'
-                                for a, b, _ in v.unhit.rows(texts))
+        doc["witnesses"] = _listing(v.witnesses, texts, first, second, score)
+        doc["unhit"] = _listing(v.unhit, texts, first, second, score)
     if v.certificate is not None:
         c = v.certificate
         doc["certificate"] = {
@@ -182,6 +181,31 @@ def _verdict_json(v: Verdict, sch: Schedule) -> dict:
             "checked_maps": c.checked_maps,
         }
     return doc
+
+
+def _listing(side: PairPairs, texts: list[str], first: str, second: str,
+             score: str) -> _Encoded:
+    """One listing side as JSON text, one block per first item; no Python code runs per row.
+
+    Row (i, j) scoring n is heads[i] + seconds[j] + ends[n], texts being the
+    items' labels as JSON: the score is left out when n is 0 (the unhit side).
+    Each class's fragments seconds[j] + ends[n] are built once, in C, one class
+    at a time, and the block of each of its first items is one join of them.
+    """
+    heads = [f',{{"{first}":{t}' for t in texts]
+    seconds = [f',"{second}":{t}' for t in texts]
+    ends = ["}", *(f',"{score}":{n}}}' for n in range(1, max(map(max, side.table)) + 1))]
+    members: dict[int, list[int]] = {}
+    for i, c in enumerate(side.classes):
+        members.setdefault(c, []).append(i)
+    blocks = [""] * len(texts)
+    for c, (keep, scores) in enumerate(side.templates()):
+        if keep:
+            fragments = ["", *map(add, compress(seconds, keep),
+                                  map(ends.__getitem__, compress(scores, keep)))]
+            for i in members[c]:
+                blocks[i] = heads[i].join(fragments)
+    return _Encoded(blocks)
 
 
 def _sensitivity_json(res: SensitivityCertificate | SensitivityFailure) -> dict:
@@ -548,18 +572,19 @@ _dumps = functools.partial(json.dumps, separators=(",", ":"), allow_nan=False)
 
 
 class _Encoded:
-    """A JSON list written ahead from its items' texts; ``_json_text`` puts it in as it is.
+    """A JSON list written ahead as blocks ",item,item..."; ``_json_parts`` puts them in.
 
-    The list is kept as its text's parts, so the report's text is the one copy
-    of a long listing.
+    The blocks, one per first item of a grid listing, are the one copy of the
+    listing's text: the report is written from them, never joined into a
+    second copy.  Empty blocks are dropped.
     """
 
     __slots__ = ("parts",)
 
-    def __init__(self, items: Iterable[str]):
-        # ",", item, ",", item, ..., "]": the first comma opens the list
-        self.parts = [*chain.from_iterable(zip(repeat(","), items)), "]"]
-        self.parts[0] = "[" if len(self.parts) > 1 else "[]"
+    def __init__(self, blocks: Iterable[str]):
+        self.parts = [*filter(None, blocks), "]"]
+        # the first block's comma opens the list
+        self.parts[0] = "[" + self.parts[0][1:] if len(self.parts) > 1 else "[]"
 
 
 def _holds_encoded(doc: dict) -> bool:
@@ -567,18 +592,18 @@ def _holds_encoded(doc: dict) -> bool:
                for v in doc.values())
 
 
-def _json_text(doc: dict) -> str:
-    """One line of compact strict JSON (no NaN), written by json's C encoder.
+def _json_parts(doc: dict) -> list[str]:
+    """One line of compact strict JSON (no NaN), written by json's C encoder, in parts.
 
     A dict that holds an ``_Encoded`` value, itself or in a dict below it, is
-    written key by key, and the ``_Encoded`` text goes in where its value goes.
-    It is placed by the document's structure, not found in the text, so no
-    string in the data can be taken for it.  Elsewhere (in a list, say) json
+    written key by key, and the ``_Encoded`` blocks go in where its value goes.
+    They are placed by the document's structure, not found in the text, so no
+    string in the data can be taken for them.  Elsewhere (in a list, say) json
     refuses it, as any object that is not JSON.
     """
     parts: list[str] = []
     _encode(doc, parts)
-    return "".join(parts)
+    return parts
 
 
 def _encode(value, parts: list[str]) -> None:
@@ -596,12 +621,14 @@ def _encode(value, parts: list[str]) -> None:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = _json_text(doc)
+    """Write the report to --out or stdout part by part; every part exists before it opens."""
+    parts = _json_parts(doc)
+    parts.append("\n")
     if out:
         with _open(out, "w") as fh:
-            print(text, file=fh)
+            fh.writelines(parts)
     else:
-        print(text)
+        sys.stdout.writelines(parts)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -651,7 +678,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _diagnostic(command: str, kind: str, err: Exception | str, **extra) -> None:
     doc = {"command": command, "error": kind, "detail": str(err), **extra}
-    print(_json_text(doc), file=sys.stderr)
+    print(_dumps(doc), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -21,11 +21,12 @@ numerators over ``den`` with their openness flags: the text form, ``.parts``
 (the :class:`Interval` API), the grid lookups and the Monte Carlo masks.
 Its inverse :func:`_part` builds one-part sets such as the grid cells.  Outside
 the set algebra these two alone read and write keys, but for ``PLMap``'s tiling
-check, which reads the :func:`affine_table` rows, and the grid walks' batches.
-:func:`affine_batch`, the one step kernel, maps a batch of sets as key tuples
-over one denominator (:func:`piecewise_affine` is its batch of one), and the
-walks compare those tuples for identity, count two keys per part, and read
-ends and spans through :func:`_ends` and :func:`_span`.
+check, which reads the :func:`affine_table` rows, and the grid walks' batches,
+which start from :func:`_cell_keys`.  :func:`affine_batch`, the one step
+kernel, maps a batch of sets as key tuples over one denominator
+(:func:`piecewise_affine` is its batch of one), and the walks compare those
+tuples for identity, count two keys per part, and read ends and spans
+through :func:`_ends` and :func:`_span`.
 """
 
 from __future__ import annotations
@@ -145,6 +146,14 @@ class Interval:
             raise MalformedInterval(
                 f"degenerate interval {_quoted(str(self))} must be closed on both ends")
 
+    @classmethod
+    def _trusted(cls, lo: Fraction, hi: Fraction, lo_open: bool = False,
+                 hi_open: bool = False) -> "Interval":
+        """An Interval from Fraction ends that are valid by construction, unchecked."""
+        iv = object.__new__(cls)
+        _SET_LO(iv, lo), _SET_HI(iv, hi), _SET_LO_OPEN(iv, lo_open), _SET_HI_OPEN(iv, hi_open)
+        return iv
+
     def __str__(self) -> str:
         lo_br = "(" if self.lo_open else "["
         hi_br = ")" if self.hi_open else "]"
@@ -174,6 +183,11 @@ class Interval:
         # stated positively, so a float NaN, which compares false, lies in no interval
         return ((self.lo < x or x == self.lo and not self.lo_open)
                 and (x < self.hi or x == self.hi and not self.hi_open))
+
+
+# the slots' own setters, which a frozen dataclass's __setattr__ does not guard
+_SET_LO, _SET_HI, _SET_LO_OPEN, _SET_HI_OPEN = (
+    Interval.lo.__set__, Interval.hi.__set__, Interval.lo_open.__set__, Interval.hi_open.__set__)
 
 
 def _pairs(keys) -> Iterator[tuple[int, int]]:
@@ -235,6 +249,12 @@ def _span(keys) -> int:
 def _part(den: int, a: int, b: int, lo_open: bool, hi_open: bool) -> "IntervalSet":
     """The part from a/den to b/den with these flags (a < b, or a == b closed); inverts ends()."""
     return _canonical(den, (4 * a + lo_open, 4 * b - hi_open))
+
+
+def _cell_keys(k: int, den: int, a0: int, w: int, closed: bool) -> list[tuple[int, int]]:
+    """The keys over den of the k open or closed parts (a0 + i*w)/den to (a0 + (i+1)*w)/den."""
+    o = 0 if closed else 1
+    return [(4 * a + o, 4 * (a + w) - o) for a in range(a0, a0 + k * w, w)]
 
 
 def _encode(parts) -> tuple[int, list[int]]:
@@ -311,7 +331,7 @@ class IntervalSet:
     def parts(self) -> tuple[Interval, ...]:
         """The parts as Intervals."""
         den = self.den
-        return tuple(Interval(Fraction(a, den), Fraction(b, den), lo_open, hi_open)
+        return tuple(Interval._trusted(Fraction(a, den), Fraction(b, den), lo_open, hi_open)
                      for a, b, lo_open, hi_open in self.ends())
 
     @property
@@ -436,17 +456,11 @@ def piecewise_affine(s: IntervalSet, table) -> IntervalSet:
     return t
 
 
-def common_lattice(sets) -> tuple[int, Iterator[list[int]]]:
-    """The least common denominator of the sets, and each set's keys over it, lazily."""
-    den = lcm(*(s.den for s in sets))
-    return den, (_scaled(s.keys, den // s.den) for s in sets)
-
-
 def affine_batch(den: int, batch: Iterable, table) -> tuple[int, list[tuple[int, ...]]]:
     """The union over the pieces of a table of ``slope*(s ∩ part) + intercept``, for each s.
 
     The table is an :func:`affine_table`, forward or backward.  The batch
-    holds each set as its keys over the one den (see :func:`common_lattice`),
+    holds each set as its keys over the one den (any common denominator),
     and so does the result: one image per set, in order, over the images'
     least common denominator, so that two images are the same set iff their
     key tuples are equal.  On the common lattice lat of den and the parts, a

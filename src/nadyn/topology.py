@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, compress, repeat
 from math import lcm
-from operator import xor
+from operator import not_, xor
 from typing import Iterator
 
 from .errors import (
@@ -41,13 +41,13 @@ from .errors import (
 from .intervals import (
     Interval,
     IntervalSet,
+    _cell_keys,
     _ends,
     _part,
     _quoted,
     _span,
     affine_batch,
     as_rational,
-    common_lattice,
 )
 from .plmaps import DEFAULT_BUDGET, PropagationBudget, Schedule, check_within, propagate
 
@@ -174,7 +174,8 @@ class PairPairs:
     scores table[classes[i]][classes[j]] (0: none within the horizon).  The
     hit side lists the rows ((i, j), n) with n nonzero, the other side the
     rows (i, j) scoring 0, both i-major and j-minor.  Its length comes from
-    the class counts; the rows are built only when iterated.
+    the class counts; the rows are built only when read, from one template
+    per class (:meth:`templates`).
     """
 
     k: int
@@ -188,18 +189,24 @@ class PairPairs:
         return sum(counts[c1] * counts[c2] for c1, row in enumerate(self.table)
                    for c2, n in enumerate(row) if bool(n) == self.hit)
 
-    def rows(self, labels: list) -> Iterator[tuple]:
-        """This side's rows (labels[i], labels[j], n), i-major and j-minor.
+    def templates(self) -> Iterator[tuple[list, list[int]]]:
+        """Each class's row template (keep, scores) in class order: the one source of rows.
 
-        n is the row's score, 0 on the unhit side.  Every first item of class
-        c1 shares one template of second items and scores.
+        scores[j] is the score of the row (i, j) for every first item i of
+        the class, and this side lists that row iff keep[j] is true.  A class
+        that lists no row here gets ([], []).  Both lists are built in C.
         """
-        templates = []
         for row in self.table:
-            kept = any(row) if self.hit else 0 in row  # else c1 keeps no row, builds no template
-            scores = [row[c2] for c2 in self.classes] if kept else []
-            keep = [bool(n) == self.hit for n in scores]
-            templates.append((list(compress(labels, keep)), list(compress(scores, keep))))
+            if any(row) if self.hit else 0 in row:
+                scores = list(map(row.__getitem__, self.classes))
+                yield scores if self.hit else list(map(not_, scores)), scores
+            else:
+                yield [], []
+
+    def rows(self, labels: list) -> Iterator[tuple]:
+        """This side's rows (labels[i], labels[j], n), i-major and j-minor; n is 0 when unhit."""
+        templates = [(list(compress(labels, keep)), list(compress(scores, keep)))
+                     for keep, scores in self.templates()]
         return chain.from_iterable(zip(repeat(first), *templates[c1])
                                    for first, c1 in zip(labels, self.classes))
 
@@ -251,9 +258,15 @@ def _grid(domain: Interval, g: Fraction, error: type, noun: str) -> tuple[int, i
     return cells.numerator, den, int(domain.lo * den), int(g * den)
 
 
-def _cells(k: int, den: int, a0: int, w: int, closed: bool = False) -> tuple[IntervalSet, ...]:
-    """The k cells of a _grid, open or closed, as one-part sets."""
-    return tuple(_part(den, a, a + w, not closed, not closed) for a in range(a0, a0 + k * w, w))
+def _cells(k: int, den: int, a0: int, w: int) -> tuple[IntervalSet, ...]:
+    """The k open cells of a _grid, as one-part sets."""
+    return tuple(_part(den, a, a + w, True, True) for a in range(a0, a0 + k * w, w))
+
+
+def _closed_cells(k: int, den: int, a0: int, w: int) -> list[Interval]:
+    """The k closed cells of a _grid as Intervals, from their k + 1 ends, each made once."""
+    ends = [Fraction(a, den) for a in range(a0, a0 + (k + 1) * w, w)]
+    return list(map(Interval._trusted, ends, ends[1:]))
 
 
 def open_grid(domain: Interval, g: Fraction) -> tuple[IntervalSet, ...]:
@@ -262,8 +275,7 @@ def open_grid(domain: Interval, g: Fraction) -> tuple[IntervalSet, ...]:
 
 
 def closed_grid(domain: Interval, g: Fraction) -> tuple[Interval, ...]:
-    cells = _cells(*_grid(domain, as_rational(g), ScaleMismatch, "cell"), closed=True)
-    return tuple(cell.parts[0] for cell in cells)
+    return tuple(_closed_cells(*_grid(domain, as_rational(g), ScaleMismatch, "cell")))
 
 
 def _charge(budget: PropagationBudget, noun: str, width: Fraction, k: int, power: int,
@@ -284,15 +296,17 @@ def _charge(budget: PropagationBudget, noun: str, width: Fraction, k: int, power
                          f"{cells} cells, {what} {cap} parts")
 
 
-def _walk(sch: Schedule, cells: tuple[IntervalSet, ...], horizon: int,
+def _walk(sch: Schedule, grid: tuple[int, int, int, int], closed: bool, horizon: int,
           budget: PropagationBudget) -> Iterator[tuple[int, int, list]]:
-    """Step every cell together, one :func:`affine_batch` per map: yield (n, den, groups).
+    """Step the open or closed cells of a _grid together, one :func:`affine_batch` per map.
 
-    groups lists each distinct n-step image of the cells once, as [keys, members]:
-    its keys over den, which every group shares, and the indices of the cells
-    whose image it is.  Cells with equal images at one step share a group from
-    then on, since equal sets at one step have equal futures.  The consumer may
-    delete groups from the list it is given; they are not stepped again.
+    It yields (n, den, groups) for n = 1..horizon, starting from the cells'
+    keys over the grid's den.  groups lists each distinct n-step image of the
+    cells once, as [keys, members]: its keys over den, which every group
+    shares, and the indices of the cells whose image it is.  Cells with equal
+    images at one step share a group from then on, since equal sets at one
+    step have equal futures.  The consumer may delete groups from the list it
+    is given; they are not stepped again.
 
     The budget is checked on each group at each step.  A group past it is
     dropped, and so is every group whose cells all come after the lowest-index
@@ -301,8 +315,8 @@ def _walk(sch: Schedule, cells: tuple[IntervalSet, ...], horizon: int,
     in turn would raise it.
     """
     tables = [m._forward for m in sch.preamble + sch.cycle]
-    den, batch = common_lattice(cells)
-    members = ([i] for i in range(len(cells)))
+    den, batch = grid[1], _cell_keys(*grid, closed)
+    members = ([i] for i in range(grid[0]))
     cap = 2 * budget.max_parts  # in keys, two per part
     over = None  # (cell, step, parts) of the lowest-index cell past the budget so far
     for n in range(1, horizon + 1):
@@ -373,7 +387,7 @@ def _hitting_matrix(
     cells = _cells(*grid)
     # bit n-1 of togs[u][j] flips at each cut j of the n-step image of cell u
     togs = [[0] * (k + 1) for _ in range(k)]
-    for n, den, groups in _walk(sch, cells, horizon, budget):
+    for n, den, groups in _walk(sch, grid, False, horizon, budget):
         bit = 1 << (n - 1)
         for keys, members in groups:
             for j in _cell_cuts(den, keys, *grid):
@@ -575,10 +589,10 @@ def sensitivity_certificate(
     k, cell_den, _, w = grid = _grid(sch.domain, scale, ScaleMismatch, "cell")
     _charge(budget, "cell", scale, k, 1, "which exceed")
     gnum, gden = (2 * delta).as_integer_ratio()
-    cells = _cells(*grid, closed=True)
+    cells = _closed_cells(*grid)
     found: dict[int, CellWitness] = {}
     widest = [(w, cell_den)] * k  # each chain's widest set so far, as (span, den)
-    for n, den, groups in _walk(sch, cells, horizon, budget):
+    for n, den, groups in _walk(sch, grid, True, horizon, budget):
         kept = []
         for group in groups:
             keys, members = group
@@ -586,14 +600,15 @@ def sensitivity_certificate(
             if span * gden > gnum * den:  # diameter > 2*delta, in integers
                 diameter = Fraction(span, den)
                 for u in members:
-                    found[u] = CellWitness(cell=cells[u].parts[0], n=n, diameter=diameter)
+                    found[u] = CellWitness(cell=cells[u], n=n, diameter=diameter)
                 continue
             kept.append(group)
             for u in members:
                 if span * widest[u][1] > widest[u][0] * den:
                     widest[u] = (span, den)
         groups[:] = kept
-    failed = [CellFailure(cell=cell.parts[0], max_diameter=Fraction(*widest[u]))
+    diameters = {wd: Fraction(*wd) for wd in set(widest)}  # many cells share one
+    failed = [CellFailure(cell=cell, max_diameter=diameters[widest[u]])
               for u, cell in enumerate(cells) if u not in found]
     if failed:
         return SensitivityFailure(

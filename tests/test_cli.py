@@ -1,12 +1,13 @@
 import hashlib
 import json
 import shlex
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nadyn import (
@@ -516,7 +517,7 @@ class TestExitCodes:
         # 33 cells: the 33^2 masks fit the default 2^20 parts, the 33^4 report rows do not
         def no_rows(*args):
             raise AssertionError("report rows built")
-        monkeypatch.setattr(topology.PairPairs, "rows", no_rows)
+        monkeypatch.setattr(topology.PairPairs, "templates", no_rows)
         code, doc, err = run_cli(capsys, "weakmix", "--system", "tent",
                                  "--grid", "1/33", "--H", "8")
         assert code == 3 and doc is None
@@ -1037,14 +1038,16 @@ class TestCommandTable:
         assert bool(result["witnesses"]) and bool(result["unhit"]) != witnessed
 
     def test_a_written_listing_goes_in_by_place_and_never_elsewhere(self):
-        listing = cli._Encoded(['{"U":"(0,1)"}', "[]"])
+        # blocks of items, each item after a comma; an empty block adds nothing
+        listing = cli._Encoded([',{"U":"(0,1)"},[]', "", ",2"])
         doc = {"text": '[{"U":"(0,1)"},[]]', "result": {"kind": "K", "rows": listing, "n": 1},
                "empty": cli._Encoded(iter(())), "nested": {"list": [1, {"a": "]"}]}}
-        assert cli._json_text(doc) == json.dumps(
-            {**doc, "result": {"kind": "K", "rows": [{"U": "(0,1)"}, []], "n": 1}, "empty": []},
+        assert "".join(cli._json_parts(doc)) == json.dumps(
+            {**doc, "result": {"kind": "K", "rows": [{"U": "(0,1)"}, [], 2], "n": 1},
+             "empty": []},
             separators=(",", ":"))
         with pytest.raises(TypeError):
-            cli._json_text({"rows": [listing]})
+            cli._json_parts({"rows": [listing]})
 
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_help(self, capsys, command):
@@ -1052,6 +1055,62 @@ class TestCommandTable:
             main([command, "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: nadyn {command}")
+
+
+@st.composite
+def listing_sides(draw):
+    """A random PairPairs side: k cells or k^2 cell pairs, classes numbered in order of
+    first appearance (as the verdicts number them), and a class table with zeros."""
+    k = draw(st.integers(1, 6))
+    pairs = draw(st.booleans())
+    items = k * k if pairs else k
+    drawn = draw(st.lists(st.integers(0, min(items, 12) - 1), min_size=items, max_size=items))
+    number: dict[int, int] = {}
+    classes = tuple(number.setdefault(c, len(number)) for c in drawn)
+    score = st.one_of(st.just(0), st.integers(1, draw(st.integers(1, 40))))
+    table = tuple(tuple(draw(st.lists(score, min_size=len(number), max_size=len(number))))
+                  for _ in number)
+    return topology.PairPairs(k, pairs, classes, table, draw(st.booleans()))
+
+
+class TestListingWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(listing_sides(), st.lists(st.text(max_size=4), min_size=6, max_size=6),
+           st.sampled_from(["n", "tail_start"]))
+    # an empty side: nothing hit, and everything hit
+    @example(topology.PairPairs(2, False, (0, 1), ((0, 0), (0, 0)), True), ["a"] * 6, "n")
+    @example(topology.PairPairs(2, True, (0, 0, 1, 0), ((3, 1), (2, 5)), False), ["a"] * 6,
+             "tail_start")
+    # one class keeps no row on either side
+    @example(topology.PairPairs(3, False, (0, 1, 2), ((0, 1, 0), (1, 2, 3), (0, 0, 0)), True),
+             ["(0,1/3)", "(1/3,2/3)", "(2/3,1)", "", "", ""], "n")
+    def test_the_written_listing_is_json_of_the_row_dicts(self, side, names, score):
+        cells = names[:side.k]
+        if side.pairs:
+            labels, first, second = [[a, b] for a in cells for b in cells], "pair1", "pair2"
+        else:
+            labels, first, second = cells, "U", "V"
+        rows = [{first: a, second: b, score: n} if side.hit else {first: a, second: b}
+                for a, b, n in side.rows(labels)]
+        written = cli._listing(side, [cli._dumps(label) for label in labels], first, second,
+                               score)
+        assert "".join(cli._json_parts({"rows": written})) == json.dumps(
+            {"rows": rows}, separators=(",", ":"))
+        assert len(rows) == len(side)
+
+    def test_a_weakmix_report_peaks_near_its_text_size(self, tmp_path):
+        out = tmp_path / "w.json"
+        argv = ["weakmix", "--system", "tent", "--grid", "1/16", "--H", "16", "--out", str(out)]
+        assert main(argv) == 0  # imports and first-call caches are not the report's
+        topology._hitting_matrix.cache_clear()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 65,536 rows, 5.3 MB: the blocks are the one copy of the listing's text
+        assert peak <= 1.5 * out.stat().st_size
 
 
 class TestVerify:

@@ -30,7 +30,7 @@ from nadyn import (
     transitivity_verdict,
     weakmix_verdict,
 )
-from nadyn.intervals import _canonical, affine_batch, common_lattice
+from nadyn.intervals import _canonical, _scaled, affine_batch
 from nadyn.plmaps import check_within
 from randgen import UNIT, interval_sets_in, intervals_in, maps_with_sets, plmaps, schedules
 
@@ -455,7 +455,8 @@ _CONSTANT_PIECE = make_plmap(UNIT, [(Interval(0, F(1, 2)), 0, F(1, 3)),
 def test_a_batched_step_equals_each_sets_step(case):
     m, sets, backward = case
     table, step = (m._backward, m.preimage_set) if backward else (m._forward, m.image_set)
-    den, images = affine_batch(*common_lattice(sets), table)
+    lattice = lcm(*(s.den for s in sets))  # any common denominator
+    den, images = affine_batch(lattice, [_scaled(s.keys, lattice // s.den) for s in sets], table)
     steps = [step(s) for s in sets]
     assert [_canonical(den, keys) for keys in images] == steps
     assert den == lcm(1, *(s.den for s in steps))  # the least common denominator

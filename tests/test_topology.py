@@ -215,6 +215,23 @@ class TestSensitivityCertificate:
         with pytest.raises(ScaleMismatch):
             sensitivity_certificate(TENT, F(1, 8), F(3, 7), 8)
 
+    @pytest.mark.parametrize("sch, scale", [(TENT, F(1, 64)), (E31, F(3, 128))],
+                             ids=["tent", "example31"])
+    def test_reported_cells_are_the_closed_grid(self, sch, scale):
+        grid = closed_grid(sch.domain, scale)
+        k = (sch.domain.hi - sch.domain.lo) / scale
+        # built through the checking constructor, from the domain and the scale alone
+        checked = [Interval(sch.domain.lo + i * scale, sch.domain.lo + (i + 1) * scale)
+                   for i in range(int(k))]
+        passed = sensitivity_certificate(sch, F(1, 8), scale, 30)
+        failed = sensitivity_certificate(sch, sch.domain.hi - sch.domain.lo, scale, 1)
+        assert passed.passed and not failed.passed
+        for cells in ([w.cell for w in passed.per_cell], [f.cell for f in failed.failures]):
+            assert cells == list(grid) == checked
+            assert [str(c) for c in cells] == [str(c) for c in checked]
+            assert {type(e) for c in cells for e in (c.lo, c.hi)} == {F}
+            assert not any(c.lo_open or c.hi_open for c in cells)
+
     def test_reverification_exact(self):
         res = sensitivity_certificate(TENT, F(1, 8), F(1, 16), 8)
         for w in res.per_cell:

@@ -21,12 +21,12 @@ numerators over ``den`` with their openness flags: the text form, ``.parts``
 (the :class:`Interval` API), the grid lookups and the Monte Carlo masks.
 Its inverse :func:`_part` builds one-part sets such as the grid cells.  Outside
 the set algebra these two alone read and write keys, but for ``PLMap``'s tiling
-check, which reads the :func:`affine_table` rows, and the grid walks' batches,
-which start from :func:`_cell_keys`.  :func:`affine_batch`, the one step
-kernel, maps a batch of sets as key tuples over one denominator
-(:func:`piecewise_affine` is its batch of one), and the walks compare those
-tuples for identity, count two keys per part, and read ends and spans
-through :func:`_ends` and :func:`_span`.
+check, which reads the :func:`affine_table` rows, and the walker's batches,
+which start from :func:`_cell_keys` or a set's keys and end in :func:`_set`.
+:func:`affine_batch`, the one step kernel, maps a batch of sets as key
+tuples over one denominator (:func:`piecewise_affine` is its batch of one),
+and the walks compare those tuples for identity, count two keys per part,
+and read ends and spans through :func:`_ends` and :func:`_span`.
 """
 
 from __future__ import annotations
@@ -230,8 +230,13 @@ def _canonical(den: int, keys) -> "IntervalSet":
     """The union of the nonempty parts in keys, in any order, over its least denominator."""
     out = _merged(_pairs(keys))
     g = gcd(den, *[(k + 1) >> 2 for k in out])
+    return _set(den // g, _coarser(out, g))
+
+
+def _set(den: int, keys: tuple[int, ...]) -> "IntervalSet":
+    """The set whose state is (den, keys), taken as is: keys must be canonical over den."""
     s = IntervalSet.__new__(IntervalSet)
-    s.den, s.keys = den // g, _coarser(out, g)
+    s.den, s.keys = den, keys
     return s
 
 
@@ -451,9 +456,8 @@ def piecewise_affine(s: IntervalSet, table) -> IntervalSet:
 
     The :func:`affine_batch` step of a batch of one set.
     """
-    t = IntervalSet.__new__(IntervalSet)
-    t.den, (t.keys,) = affine_batch(s.den, (s.keys,), table)
-    return t
+    den, (keys,) = affine_batch(s.den, (s.keys,), table)
+    return _set(den, keys)
 
 
 def affine_batch(den: int, batch: Iterable, table) -> tuple[int, list[tuple[int, ...]]]:

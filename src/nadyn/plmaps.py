@@ -8,18 +8,18 @@ as an eventually-periodic sequence of maps; the orbit map for the first
 n steps is the composition of f_0 .. f_{n-1}.
 
 Forward images and preimages of interval sets are exact.  Iterated
-preimages can grow their part count exponentially, so every iteration of one
-set goes through :func:`propagate`, which guards each step with a
-:class:`PropagationBudget`: exceeding it raises hard, never truncates.  The
-grid walks of :mod:`nadyn.topology` step all their cells at once instead,
-under the same budget rule.  Both reach one kernel,
-:func:`nadyn.intervals.affine_batch`: a single set's step is its batch of one.
+preimages can grow their part count exponentially, so every iteration goes
+through one walker, :func:`_walk`, which steps a batch of sets together and
+raises at the first step where a set passes its :class:`PropagationBudget`,
+never truncating.  :func:`propagate`, the chain of one set, is its batch of
+one, and the grid walks of :mod:`nadyn.topology` step all their cells in one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -36,6 +36,8 @@ from .intervals import (
     IntervalSet,
     _canonical,
     _quoted,
+    _set,
+    affine_batch,
     affine_table,
     as_rational,
     piecewise_affine,
@@ -198,12 +200,47 @@ class PropagationBudget:
         if self.max_parts < 1:
             raise ValueError("max_parts must be >= 1")
 
-    def check(self, step: int, s: IntervalSet) -> None:
-        if s.part_count > self.max_parts:
-            raise BudgetExceeded(step, s.part_count, self.max_parts)
+    def check(self, step: int, parts: int) -> None:
+        """Raise BudgetExceeded if parts, the largest part count at this step, is past it."""
+        if parts > self.max_parts:
+            raise BudgetExceeded(step, parts, self.max_parts)
 
 
 DEFAULT_BUDGET = PropagationBudget()
+
+
+def _walk(sch: Schedule, den: int, batch: list, steps: Iterable[int],
+          budget: PropagationBudget, inverse: bool = False) -> Iterator[tuple[int, int, list]]:
+    """Step a batch of sets through ``sch.map_at(i)`` for each i in steps, all together.
+
+    The batch holds each set as its keys over the one den; each step is one
+    :func:`affine_batch` call, taking preimages with ``inverse``.  It yields
+    (n, den, groups) for n = 1, 2, ...: groups lists each distinct n-step
+    image once, as [keys, members], its keys over den (which every group
+    shares) and the batch indices of the sets whose image it is.  Sets with
+    equal images at one step share a group from then on, since equal sets
+    have equal futures.  The consumer may delete groups from the list it is
+    given; they are not stepped again.  Before a step is yielded its largest
+    group passes ``budget.check``, so the walk raises BudgetExceeded at the
+    first step where any set is past the budget, and every shorter walk fits.
+    """
+    tables = [m._backward if inverse else m._forward for m in sch.preamble + sch.cycle]
+    members = [[i] for i in range(len(batch))]
+    for n, i in enumerate(steps, start=1):
+        den, images = affine_batch(den, batch, tables[sch.phase(i)])
+        merged: dict[tuple, list] = {}
+        for keys, sets_in in zip(images, members):
+            group = merged.get(keys)
+            if group is None:
+                merged[keys] = [keys, sets_in]
+            else:
+                group[1] += sets_in
+        budget.check(n, max(map(len, merged)) // 2)  # two keys per part
+        groups = list(merged.values())
+        yield n, den, groups
+        if not groups:
+            break
+        batch, members = zip(*groups)
 
 
 def propagate(
@@ -212,21 +249,22 @@ def propagate(
 ) -> Iterator[IntervalSet]:
     """Yield s pushed through ``sch.map_at(i)`` for each i in steps, in turn.
 
-    With ``inverse`` each step takes the preimage, so a preimage chain lists
-    its map indices last to first.  Each yielded set has passed
-    ``budget.check``, with steps numbered from 1 along this chain.  A forward
-    chain checks that s lies in the domain once, at its first step
-    (OutOfDomain); each image after it is in the domain, since every map is a
-    self-map.  This is the chain of one set; the grid walks step all their
-    cells together (``topology._walk``).
+    The :func:`_walk` of a batch of one set.  With ``inverse`` each step
+    takes the preimage, so a preimage chain lists its map indices last to
+    first.  Steps are numbered from 1 along this chain.  A forward chain
+    checks that s lies in the domain once, before its first step
+    (OutOfDomain); each image after it is in the domain, since every map is
+    a self-map.  A chain of zero steps checks nothing.
     """
-    tables = [m._backward if inverse else m._forward for m in sch.preamble + sch.cycle]
-    for step, i in enumerate(steps, start=1):
-        if step == 1 and not inverse:
-            check_within(s, sch.domain)
-        s = piecewise_affine(s, tables[sch.phase(i)])
-        budget.check(step, s)
-        yield s
+    steps = iter(steps)
+    first = next(steps, None)
+    if first is None:
+        return
+    if not inverse:
+        check_within(s, sch.domain)
+    for _, den, ((keys, _),) in _walk(sch, s.den, [s.keys], chain((first,), steps), budget,
+                                      inverse):
+        yield _set(den, keys)
 
 
 def check_within(

@@ -15,8 +15,8 @@ Hitting-time indices start at 1 (the first applied map); correlation
 lags elsewhere start at 0.  Both conventions are surfaced in reports.
 
 Both grid walks, the hitting matrix and the sensitivity search, step all
-their cells together (:func:`_walk`): one batched step per map, and cells
-whose images coincide at a step share one group from then on.
+their cells as one batch of the walker :func:`nadyn.plmaps._walk`, in which
+cells whose images coincide at a step share one group from then on.
 """
 
 from __future__ import annotations
@@ -46,10 +46,9 @@ from .intervals import (
     _part,
     _quoted,
     _span,
-    affine_batch,
     as_rational,
 )
-from .plmaps import DEFAULT_BUDGET, PropagationBudget, Schedule, check_within, propagate
+from .plmaps import DEFAULT_BUDGET, PropagationBudget, Schedule, _walk, check_within, propagate
 
 CERTIFIED_FAIL = "CERTIFIED_FAIL"
 WITNESSED_UP_TO = "WITNESSED_UP_TO"
@@ -296,55 +295,6 @@ def _charge(budget: PropagationBudget, noun: str, width: Fraction, k: int, power
                          f"{cells} cells, {what} {cap} parts")
 
 
-def _walk(sch: Schedule, grid: tuple[int, int, int, int], closed: bool, horizon: int,
-          budget: PropagationBudget) -> Iterator[tuple[int, int, list]]:
-    """Step the open or closed cells of a _grid together, one :func:`affine_batch` per map.
-
-    It yields (n, den, groups) for n = 1..horizon, starting from the cells'
-    keys over the grid's den.  groups lists each distinct n-step image of the
-    cells once, as [keys, members]: its keys over den, which every group
-    shares, and the indices of the cells whose image it is.  Cells with equal
-    images at one step share a group from then on, since equal sets at one
-    step have equal futures.  The consumer may delete groups from the list it
-    is given; they are not stepped again.
-
-    The budget is checked on each group at each step.  A group past it is
-    dropped, and so is every group whose cells all come after the lowest-index
-    cell past it so far; once the walk ends, BudgetExceeded is raised with the
-    step and part count of that cell's first overflow, as a walk of each cell
-    in turn would raise it.
-    """
-    tables = [m._forward for m in sch.preamble + sch.cycle]
-    den, batch = grid[1], _cell_keys(*grid, closed)
-    members = ([i] for i in range(grid[0]))
-    cap = 2 * budget.max_parts  # in keys, two per part
-    over = None  # (cell, step, parts) of the lowest-index cell past the budget so far
-    for n in range(1, horizon + 1):
-        den, images = affine_batch(den, batch, tables[sch.phase(n - 1)])
-        merged: dict[tuple, list] = {}
-        for keys, cells_in in zip(images, members):
-            group = merged.get(keys)
-            if group is None:
-                merged[keys] = [keys, cells_in]
-            else:
-                group[1] += cells_in
-        groups = list(merged.values())
-        if max(map(len, merged)) > cap:
-            for keys, cells_in in groups:
-                first = min(cells_in)
-                if len(keys) > cap and (over is None or first < over[0]):
-                    over = (first, n, len(keys) // 2)
-        if over is not None:
-            groups = [group for group in groups if min(group[1]) < over[0]]
-        yield n, den, groups
-        if not groups:
-            break
-        batch = [keys for keys, _ in groups]
-        members = [cells_in for _, cells_in in groups]
-    if over is not None:
-        raise BudgetExceeded(over[1], over[2], budget.max_parts)
-
-
 # matrices kept by hitting_matrix: the three verdicts of one (g, H) share one
 _MATRIX_MEMO_SIZE = 4
 
@@ -387,7 +337,7 @@ def _hitting_matrix(
     cells = _cells(*grid)
     # bit n-1 of togs[u][j] flips at each cut j of the n-step image of cell u
     togs = [[0] * (k + 1) for _ in range(k)]
-    for n, den, groups in _walk(sch, grid, False, horizon, budget):
+    for n, den, groups in _walk(sch, grid[1], _cell_keys(*grid, False), range(horizon), budget):
         bit = 1 << (n - 1)
         for keys, members in groups:
             for j in _cell_cuts(den, keys, *grid):
@@ -417,6 +367,12 @@ def _least_bit(mask: int) -> int:
     return (mask & -mask).bit_length()  # 1-based hitting index; 0 for no bit
 
 
+def _scored(masks, score) -> tuple[tuple[int, ...], ...]:
+    """The table score(masks[u][v]), scoring each distinct mask once."""
+    scores = {mask: score(mask) for mask in set(chain.from_iterable(masks))}
+    return tuple(tuple(map(scores.__getitem__, row)) for row in masks)
+
+
 def _verdict(name: str, g, horizon: int, k: int, pairs: bool, classes, table,
              tail=None) -> Verdict:
     """WITNESSED_UP_TO with the tail when no pair is unhit, else INCONCLUSIVE."""
@@ -444,9 +400,8 @@ def transitivity_verdict(
     invariant-set certificate.
     """
     _, masks = hitting_matrix(sch, g, horizon, budget)
-    table = tuple(tuple(map(_least_bit, row)) for row in masks)
     return _verdict("transitivity", g, horizon, len(masks), False, tuple(range(len(masks))),
-                    table)
+                    _scored(masks, _least_bit))
 
 
 def weakmix_verdict(
@@ -486,7 +441,7 @@ def mixing_verdict(
         start = (full & ~mask).bit_length() + 1  # first index past the last miss
         return start if start <= horizon else 0
 
-    table = tuple(tuple(map(tail_start, row)) for row in masks)
+    table = _scored(masks, tail_start)
     return _verdict("mixing", g, horizon, len(masks), False, tuple(range(len(masks))),
                     table, max(map(max, table)))
 
@@ -592,7 +547,7 @@ def sensitivity_certificate(
     cells = _closed_cells(*grid)
     found: dict[int, CellWitness] = {}
     widest = [(w, cell_den)] * k  # each chain's widest set so far, as (span, den)
-    for n, den, groups in _walk(sch, grid, True, horizon, budget):
+    for n, den, groups in _walk(sch, cell_den, _cell_keys(*grid, True), range(horizon), budget):
         kept = []
         for group in groups:
             keys, members = group

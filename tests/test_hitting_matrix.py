@@ -5,7 +5,8 @@ The matrix reference is the k-target loop the verdicts used before the
 matrix existed: every image step asks every cell ``meets``.  The
 sensitivity reference walks each cell's chain with ``propagate``, one cell
 after another, and compares ``Fraction`` diameters.  The budget reference
-walks the cells the same way and reports the first overflow it meets.
+walks every cell's chain the same way and reports the least step at which
+one overflows, as a walk of all the chains in lockstep meets it.
 """
 
 from collections import defaultdict
@@ -213,16 +214,21 @@ def test_a_failing_cell_reports_its_widest_set():
 
 
 def first_overflow(sch, cells, horizon, budget, done=lambda s: False):
-    """The (step, parts) of the first overflow met when each cell's chain is walked in
-    turn with propagate, each until done(set) ends it; None if no chain overflows."""
+    """The (step, parts) of the first overflow met when the cells' chains are walked in
+    lockstep with propagate, each until done(set) ends it: the least step at which any
+    chain overflows, and the most parts a chain holds at that step; None if none does."""
+    overflows = []
     for cell in cells:
         try:
             for cur in propagate(sch, cell, range(horizon), budget):
                 if done(cur):
                     break
         except BudgetExceeded as exc:
-            return exc.step, exc.parts
-    return None
+            overflows.append((exc.step, -exc.parts))
+    if not overflows:
+        return None
+    step, parts = min(overflows)
+    return step, -parts
 
 
 def raised(walk):
@@ -253,41 +259,67 @@ _HALVE = make_plmap(_UNIT, [(Interval(0, F(7, 8)), F(1, 2), 0),
 _LIFT = make_plmap(_UNIT, [(Interval(0, F(1, 16)), 1, 0),
                            (Interval(F(1, 16), F(1, 2), lo_open=True), 1, F(1, 2)),
                            (Interval(F(1, 2), 1, lo_open=True), 1, F(-1, 2))])
+# the identity, so that a preamble delays _HALVE and _LIFT by one step
+_IDENTITY = make_plmap(_UNIT, [(_UNIT, 1, 0)])
 GRID_WALKS = [
-    lambda sch, budget: hitting_matrix(sch, F(1, 4), 4, budget),
-    lambda sch, budget: sensitivity_certificate(sch, F(1, 2), F(1, 4), 4, budget),
+    lambda sch, budget, horizon=4: hitting_matrix(sch, F(1, 4), horizon, budget),
+    lambda sch, budget, horizon=4: sensitivity_certificate(sch, F(1, 2), F(1, 4), horizon,
+                                                           budget),
 ]
 
 
 class TestBudgetRule:
-    """A walk past the budget reports the lowest-index cell that overflows, at its
-    first overflowing step, as a walk of each cell in turn would."""
+    """A walk past the budget raises at the first step at which any cell overflows, with
+    the most parts a cell holds at that step, as a walk of the cells in lockstep would."""
 
     @pytest.mark.parametrize("walk", GRID_WALKS, ids=["matrix", "sensitivity"])
-    def test_a_lower_cell_overflowing_later_is_reported(self, walk):
+    def test_a_higher_cell_overflowing_first_is_reported(self, walk):
         # the last cell splits at step 1, since (3/4, 1) meets both pieces of _HALVE;
         # the first cell splits at step 2, when _LIFT cuts its image (0, 1/8) at 1/16
         sch = Schedule((), (_HALVE, _LIFT), _UNIT)
         budget = PropagationBudget(1)
-        assert first_overflow(sch, open_grid(_UNIT, F(1, 4))[3:], 4, budget) == (1, 2)
-        assert first_overflow(sch, open_grid(_UNIT, F(1, 4)), 4, budget) == (2, 2)
-        assert raised(lambda: walk(sch, budget)) == (2, 2)
+        assert first_overflow(sch, open_grid(_UNIT, F(1, 4))[:1], 4, budget) == (2, 2)
+        assert first_overflow(sch, open_grid(_UNIT, F(1, 4)), 4, budget) == (1, 2)
+        assert raised(lambda: walk(sch, budget)) == (1, 2)
+
+    @pytest.mark.parametrize("walk", GRID_WALKS, ids=["matrix", "sensitivity"])
+    def test_the_reported_step_less_one_is_a_horizon_that_fits(self, walk):
+        # behind the preamble the last cell splits at step 2 and the first at step 3
+        sch = Schedule((_IDENTITY,), (_HALVE, _LIFT), _UNIT)
+        budget = PropagationBudget(1)
+        assert raised(lambda: walk(sch, budget, 5)) == (2, 2)
+        assert raised(lambda: walk(sch, budget, 1)) is None
 
     @pytest.mark.parametrize("walk", GRID_WALKS, ids=["matrix", "sensitivity"])
     def test_a_merged_group_overflows_at_its_step(self, walk, monkeypatch):
         # tent sends the first and the last cell onto one set, which _LIFT then splits
         sch = Schedule((), (bundled_example("tent").cycle[0], _LIFT), _UNIT)
         batches = []
-        monkeypatch.setattr("nadyn.topology.affine_batch", lambda den, batch, table:
+        monkeypatch.setattr("nadyn.plmaps.affine_batch", lambda den, batch, table:
                             batches.append(batch := list(batch)) or affine_batch(den, batch, table))
         assert raised(lambda: walk(sch, PropagationBudget(1))) == (2, 2)
         assert list(map(len, batches)) == [4, 2]  # 4 cells, then 2 groups; none past step 2
 
 
+@settings(max_examples=150, deadline=None)
+@given(grid_systems(), st.integers(1, 3), st.integers(1, 16), st.booleans())
+@example((Schedule((_IDENTITY,), (_HALVE, _LIFT), _UNIT), F(1, 4), 5), 1, 16, False)
+def test_a_walk_refused_at_a_step_fits_the_horizon_before_it(system, max_parts, sixteenths,
+                                                             halve):
+    sch, g, horizon = system
+    budget = PropagationBudget(max_parts)
+    delta, scale = (sch.domain.hi - sch.domain.lo) * F(sixteenths, 32), g / 2 if halve else g
+    for walk in (lambda h: hitting_matrix(sch, g, h, budget),
+                 lambda h: sensitivity_certificate(sch, delta, scale, h, budget)):
+        over = raised(lambda: walk(horizon))
+        if over is not None and over[0] > 1:
+            assert raised(lambda: walk(over[0] - 1)) is None
+
+
 class TestMerge:
     def test_tent_steps_far_fewer_sets_than_cells_times_steps(self, monkeypatch):
         stepped = []
-        monkeypatch.setattr("nadyn.topology.affine_batch", lambda den, batch, table:
+        monkeypatch.setattr("nadyn.plmaps.affine_batch", lambda den, batch, table:
                             stepped.append(len(batch := list(batch))) or
                             affine_batch(den, batch, table))
         tent = bundled_example("tent")
@@ -410,7 +442,7 @@ class TestCellCap:
         def unreached(*args, **kwargs):
             raise AssertionError("a cell was stepped")
 
-        monkeypatch.setattr("nadyn.topology.affine_batch", unreached)
+        monkeypatch.setattr("nadyn.plmaps.affine_batch", unreached)
         with pytest.raises(BudgetExceeded) as exc:
             sensitivity_certificate(bundled_example("tent"), F(1, 8), F(1, 10**7), 1,
                                     PropagationBudget(64))
@@ -427,7 +459,7 @@ class TestCellCap:
         def reached(*args, **kwargs):
             raise Reached
 
-        monkeypatch.setattr("nadyn.topology.affine_batch", reached)
+        monkeypatch.setattr("nadyn.plmaps.affine_batch", reached)
         with pytest.raises(Reached):
             sensitivity_certificate(bundled_example("tent"), F(1, 8), F(1, k), 1, budget)
         with pytest.raises(BudgetExceeded):

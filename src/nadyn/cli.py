@@ -106,9 +106,7 @@ def _load_system(source: str, *, estimate: bool = False) -> tuple:
     which also accepts quadratic maps.
     """
     if source in BUNDLED_EXAMPLE_NAMES:
-        sch = bundled_example(source)
-        if estimate:
-            sch = FloatSchedule.from_schedule(sch)
+        sch = (_bundled_estimate if estimate else bundled_example)(source)
     elif os.path.exists(source):
         sch = (parse_mc_system_file if estimate else parse_system_file)(source)
     elif source.endswith(".json"):
@@ -121,6 +119,12 @@ def _load_system(source: str, *, estimate: bool = False) -> tuple:
     if estimate:
         return sch, {"source": source, "estimate_only": sch.estimate_only}
     return sch, {"source": source, "definition": schedule_to_dict(sch)}
+
+
+@functools.cache
+def _bundled_estimate(name: str) -> FloatSchedule:
+    """The bundled system ``name`` compiled for the estimator, once per name."""
+    return FloatSchedule.from_schedule(bundled_example(name))
 
 
 def _open(path: str, mode: str, **kwargs):
@@ -555,6 +559,7 @@ class _Parser(argparse.ArgumentParser):
         raise MalformedInput(message)  # a JSON diagnostic, not argparse's usage text
 
 
+@functools.cache  # a parser keeps no state between parse_args calls
 def _build_parser(command: str) -> argparse.ArgumentParser:
     p = _Parser(prog=f"nadyn {command}")
     # argparse reads "-1/2" as an option, which would leave "--x -1/2" without a value

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -284,7 +285,8 @@ def prefix_image(
     """Image of s under the first n maps; s must lie in the domain, also for n = 0."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    check_within(s, sch.domain)
+    if n == 0:  # propagate checks s before its first step, and a chain of none checks nothing
+        check_within(s, sch.domain)
     for s in propagate(sch, s, range(n), budget):
         pass
     return s
@@ -351,6 +353,7 @@ _EXAMPLES = {
 }
 
 
+@cache  # a Schedule is frozen, so each name's is built once and shared
 def bundled_example(name: str) -> Schedule:
     """Return a documented example schedule by name.
 

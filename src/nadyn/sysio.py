@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, Callable
 
 from .errors import MalformedInput, MalformedRational, MalformedSystemFile
@@ -246,22 +248,40 @@ def schedule_from_dict(doc: Any, *, path: str | None = None) -> Schedule:
     return Schedule(preamble, cycle, domain)
 
 
-def _load_json(path: str) -> Any:
-    """The parsed JSON document of a system file; any failure is malformed input."""
+# system-file texts whose parsed schedules are kept, the least recently used dropped first
+_PARSED_MEMO_SIZE = 16
+
+
+def _load(path: str, build: Callable) -> Any:
+    """``build(doc, path=path)`` of the system file's JSON; any failure is malformed input.
+
+    The file is read on every call; its text is parsed once per (path, text,
+    ``build``, digit limit), since the interpreter's limit on text-to-int
+    conversion decides how its integers decode.  A failure is never kept.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return decode_json(fh.read(), _file_int)
+            text = fh.read()
     except FileNotFoundError:
         raise MalformedSystemFile("file not found", path=path) from None
     except OSError as e:  # a directory, no permission, ...
         raise MalformedSystemFile(f"cannot read the file: {e.strerror}", path=path) from None
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()  # None: no limit to key on
+    return _parsed(path, text, build, limit)
+
+
+@lru_cache(maxsize=_PARSED_MEMO_SIZE)
+def _parsed(path: str, text: str, build: Callable, _limit: int | None) -> Any:
+    try:
+        doc = decode_json(text, _file_int)
     except MalformedInput as e:
         raise MalformedSystemFile(f"invalid JSON: {e}", path=path) from None
+    return build(doc, path=path)
 
 
 def parse_system_file(path: str) -> Schedule:
     """Load and validate an exact system file; diagnostics carry field paths."""
-    return schedule_from_dict(_load_json(path), path=path)
+    return _load(path, schedule_from_dict)
 
 
 def write_system_file(path: str, sch: Schedule) -> None:
@@ -318,7 +338,11 @@ def _check_quadratic_self_map(q: QuadraticMap, domain: Interval, path: str) -> N
                                       f"outside the domain {domain}", field=path)
 
 
+def _float_schedule_from_dict(doc: Any, *, path: str | None = None) -> FloatSchedule:
+    domain, preamble, cycle = _walk(doc, path, _float_step)
+    return FloatSchedule.from_steps(domain.lo, domain.hi, preamble, cycle)
+
+
 def parse_mc_system_file(path: str) -> FloatSchedule:
     """Load a system file for the estimator; PL and quadratic maps both work."""
-    domain, preamble, cycle = _walk(_load_json(path), path, _float_step)
-    return FloatSchedule.from_steps(domain.lo, domain.hi, preamble, cycle)
+    return _load(path, _float_schedule_from_dict)

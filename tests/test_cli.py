@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction as F
@@ -18,6 +21,7 @@ from nadyn import (
     MalformedSystemFile,
     OutOfDomain,
     ScaleMismatch,
+    UnknownExample,
     bundled_example,
     cesaro_deviation,
     correlation_series,
@@ -1153,3 +1157,121 @@ class TestVerify:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert all(name in out for name in cli.SCENARIOS)
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def fresh_process(*argv):
+    """(exit code, stdout, stderr) of ``python -m nadyn.cli argv`` in a new interpreter."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "nadyn.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def in_process(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def tent_text(slope: str) -> str:
+    """A one-map system file whose left branch has the one-character ``slope``."""
+    return json.dumps({"domain": "[0,1]", "cycle": [{"pieces": [
+        {"on": "[0,1/2]", "slope": slope, "intercept": "0"},
+        {"on": "(1/2,1]", "slope": "-2", "intercept": "2"},
+    ]}]})
+
+
+class TestInProcessReuse:
+    """Each command's parser, each bundled system and each file text's schedule
+    are built once per process; no call may see what an earlier one left."""
+
+    def test_a_flag_of_one_call_is_no_default_of_the_next(self, capsys, monkeypatch):
+        monkeypatch.delenv("NADYN_BUDGET", raising=False)
+        argv = ["image", "--system", "tent", "--set", "[0,1/3]", "--n", "2"]
+        code, doc, _ = run_cli(capsys, *argv, "--budget", "5")
+        assert code == 0 and doc["budget"] == {"max_parts": 5, "source": "flag"}
+        code, doc, _ = run_cli(capsys, *argv)
+        assert code == 0 and doc["budget"] == {"max_parts": DEFAULT_BUDGET.max_parts,
+                                               "source": "default"}
+
+    @pytest.mark.parametrize("refused", [
+        ["eval", "--system", "tent", "--x", "1/3", "--n", "two"],
+        ["eval", "--system", "tent", "--x", "1/3", "--bogus", "1"],
+    ], ids=["bad_int", "unrecognized"])
+    def test_a_refused_argv_then_a_valid_one_exit_as_in_fresh_processes(
+        self, capsys, monkeypatch, refused
+    ):
+        monkeypatch.delenv("NADYN_BUDGET", raising=False)
+        valid = ["eval", "--system", "tent", "--x", "1/3", "--n", "3"]
+        got = [in_process(capsys, *refused), in_process(capsys, *valid)]
+        assert [code for code, _, _ in got] == [2, 0]
+        assert got == [fresh_process(*refused), fresh_process(*valid)]
+
+    def test_a_bundled_system_is_built_once(self):
+        assert bundled_example("tent") is bundled_example("tent")
+        assert cli._load_system("tent")[0] is bundled_example("tent")
+
+    def test_an_unknown_name_is_refused_on_every_call(self, capsys):
+        for _ in range(2):
+            with pytest.raises(UnknownExample):
+                bundled_example("lorenz")
+            code, _, err = run_cli(capsys, "eval", "--system", "lorenz", "--x", "0")
+            assert code == 4 and err["error"] == "unknown_example"
+
+    def test_a_file_rewritten_in_place_is_parsed_again(self, tmp_path, capsys):
+        path = tmp_path / "system.json"
+        argv = ["eval", "--system", str(path), "--x", "1/3"]
+        reports = []
+        for slope in ("2", "1"):  # texts of one length
+            path.write_text(tent_text(slope))
+            code, doc, _ = run_cli(capsys, *argv)
+            assert code == 0
+            reports.append(doc)
+        assert len(tent_text("2")) == len(tent_text("1"))
+        slopes = [r["system"]["definition"]["cycle"][0]["pieces"][0]["slope"] for r in reports]
+        assert slopes == ["2", "1"]
+        assert [r["result"]["value"] for r in reports] == ["2/3", "1/3"]
+        # the estimator loads the same text as its own schedule
+        code, doc, _ = run_cli(capsys, "mc", "--system", str(path), "--x", "0.3",
+                               "--epsilon", "0.01", "--n", "2", "--samples", "10")
+        assert code == 0 and doc["result"]["estimate_only"] is False
+
+    @pytest.mark.parametrize("command", list(LOADER_ARGV))
+    def test_each_path_of_one_malformed_text_is_named_in_its_diagnostic(
+        self, tmp_path, capsys, command
+    ):
+        text = tent_text("x")
+        for name in ("a.json", "b.json", "a.json"):
+            path = tmp_path / name
+            path.write_text(text)
+            code, _, err = run_cli(capsys, command, "--system", str(path),
+                                   *LOADER_ARGV[command])
+            assert code == 2
+            assert err["detail"].startswith(f"{path}: cycle[0].pieces[0].slope: ")
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="the interpreter has no limit on text-to-int conversion")
+    def test_the_digit_limit_in_force_decides_each_load(self, tmp_path, capsys):
+        # a 5,001-digit slope on a piece 1/10^5000 wide
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps({"domain": "[0,1]", "cycle": [{"pieces": [
+            {"on": f"[0,1/{DIGITS}]", "slope": DIGITS, "intercept": "0"},
+            {"on": f"(1/{DIGITS},1]", "slope": "0", "intercept": "0"},
+        ]}]}))
+        argv = ["eval", "--system", str(path), "--x", "0"]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code, doc, _ = run_cli(capsys, *argv)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0
+        assert doc["system"]["definition"]["cycle"][0]["pieces"][0]["slope"] == DIGITS
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err["detail"].startswith(f"{path}: cycle[0].pieces[0]")
+        assert err["detail"].endswith("has more digits than Python converts")

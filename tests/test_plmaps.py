@@ -261,6 +261,16 @@ class TestPrefixOps:
         with pytest.raises(OutOfDomain, match=r'^set "\[2,3\]" is not in the domain \[0,1\]$'):
             prefix_image(TENT, iset("[2,3]"), n)
 
+    @pytest.mark.parametrize("n", [5, 0])
+    def test_prefix_image_checks_its_set_once(self, monkeypatch, n):
+        checked = []
+        monkeypatch.setattr("nadyn.plmaps.check_within",
+                            lambda s, domain, label="set": checked.append(s) or
+                            check_within(s, domain, label))
+        s = iset("[1/2,5/8]")
+        prefix_image(TENT, s, n)
+        assert checked == [s]
+
     def test_prefix_preimage_zero_steps_keeps_only_the_domain_part(self):
         got = prefix_preimage(TENT, iset("[1/2,3]"), 0)
         assert got == iset("[1/2,1]") and got.measure() == F(1, 2)

@@ -25,9 +25,9 @@ import json
 import os
 import re
 import sys
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from operator import add
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import __version__
 from .errors import (
@@ -193,23 +193,33 @@ def _listing(side: PairPairs, texts: list[str], first: str, second: str,
 
     Row (i, j) scoring n is heads[i] + seconds[j] + ends[n], texts being the
     items' labels as JSON: the score is left out when n is 0 (the unhit side).
-    Each class's fragments seconds[j] + ends[n] are built once, in C, one class
-    at a time, and the block of each of its first items is one join of them.
+    The pieces and each class's template are built here, before the report's
+    file opens; the blocks are joined only as the report is written.  Each
+    class's fragments seconds[j] + ends[n] are built in C at its first item
+    and dropped after its last, and the block of each of its items is one
+    join of them, so the listing's text is never held whole.
     """
     heads = [f',{{"{first}":{t}' for t in texts]
     seconds = [f',"{second}":{t}' for t in texts]
     ends = ["}", *(f',"{score}":{n}}}' for n in range(1, max(map(max, side.table)) + 1))]
-    members: dict[int, list[int]] = {}
-    for i, c in enumerate(side.classes):
-        members.setdefault(c, []).append(i)
-    blocks = [""] * len(texts)
-    for c, (keep, scores) in enumerate(side.templates()):
-        if keep:
-            fragments = ["", *map(add, compress(seconds, keep),
-                                  map(ends.__getitem__, compress(scores, keep)))]
-            for i in members[c]:
-                blocks[i] = heads[i].join(fragments)
-    return _Encoded(blocks)
+    templates = list(side.templates())
+    last = {c: i for i, c in enumerate(side.classes)}
+
+    def blocks() -> Iterator[str]:
+        built: dict[int, list[str]] = {}
+        for i, c in enumerate(side.classes):
+            keep, scores = templates[c]
+            if not keep:
+                continue
+            fragments = built.get(c)
+            if fragments is None:
+                fragments = built[c] = ["", *map(add, compress(seconds, keep),
+                                                 map(ends.__getitem__, compress(scores, keep)))]
+            yield heads[i].join(fragments)
+            if last[c] == i:
+                del built[c]
+
+    return _Encoded(blocks())
 
 
 def _sensitivity_json(res: SensitivityCertificate | SensitivityFailure) -> dict:
@@ -579,17 +589,27 @@ _dumps = functools.partial(json.dumps, separators=(",", ":"), allow_nan=False)
 class _Encoded:
     """A JSON list written ahead as blocks ",item,item..."; ``_json_parts`` puts them in.
 
-    The blocks, one per first item of a grid listing, are the one copy of the
-    listing's text: the report is written from them, never joined into a
-    second copy.  Empty blocks are dropped.
+    The blocks, one per first item of a grid listing, are read once, as the
+    report is written: each is joined when it is read and let go once it is
+    written, so the listing's text is never held whole.  Empty blocks are
+    dropped.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ("blocks",)
 
     def __init__(self, blocks: Iterable[str]):
-        self.parts = [*filter(None, blocks), "]"]
-        # the first block's comma opens the list
-        self.parts[0] = "[" + self.parts[0][1:] if len(self.parts) > 1 else "[]"
+        self.blocks = blocks
+
+    def __iter__(self) -> Iterator[str]:
+        blocks = filter(None, self.blocks)
+        block = next(blocks, None)
+        if block is None:
+            yield "[]"
+            return
+        yield "["
+        yield block[1:]  # the first block's comma is the list's opening
+        yield from blocks
+        yield "]"
 
 
 def _holds_encoded(doc: dict) -> bool:
@@ -597,23 +617,25 @@ def _holds_encoded(doc: dict) -> bool:
                for v in doc.values())
 
 
-def _json_parts(doc: dict) -> list[str]:
+def _json_parts(doc: dict) -> Iterator[str]:
     """One line of compact strict JSON (no NaN), written by json's C encoder, in parts.
 
     A dict that holds an ``_Encoded`` value, itself or in a dict below it, is
     written key by key, and the ``_Encoded`` blocks go in where its value goes.
     They are placed by the document's structure, not found in the text, so no
     string in the data can be taken for them.  Elsewhere (in a list, say) json
-    refuses it, as any object that is not JSON.
+    refuses it, as any object that is not JSON.  Every part but the blocks is
+    encoded in this call, so whatever can fail fails here, before a part is
+    read; the blocks are joined as the parts are read.
     """
-    parts: list[str] = []
+    parts: list[str | _Encoded] = []
     _encode(doc, parts)
-    return parts
+    return chain.from_iterable(p if isinstance(p, _Encoded) else (p,) for p in parts)
 
 
-def _encode(value, parts: list[str]) -> None:
+def _encode(value, parts: list[str | _Encoded]) -> None:
     if isinstance(value, _Encoded):
-        parts += value.parts
+        parts.append(value)
     elif isinstance(value, dict) and _holds_encoded(value):
         opening = "{"
         for k, v in value.items():
@@ -626,9 +648,8 @@ def _encode(value, parts: list[str]) -> None:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    """Write the report to --out or stdout part by part; every part exists before it opens."""
-    parts = _json_parts(doc)
-    parts.append("\n")
+    """Write the report to --out or stdout as its parts come; whatever can fail, fails first."""
+    parts = chain(_json_parts(doc), ("\n",))
     if out:
         with _open(out, "w") as fh:
             fh.writelines(parts)

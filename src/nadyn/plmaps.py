@@ -226,6 +226,16 @@ def _walk(sch: Schedule, den: int, batch: list, steps: Iterable[int],
     first step where any set is past the budget, and every shorter walk fits.
     """
     tables = [m._backward if inverse else m._forward for m in sch.preamble + sch.cycle]
+    if len(batch) == 1:  # one set: nothing can merge, so it skips the group bookkeeping
+        keys, = batch
+        for n, i in enumerate(steps, start=1):
+            den, (keys,) = affine_batch(den, (keys,), tables[sch.phase(i)])
+            budget.check(n, len(keys) // 2)
+            groups = [[keys, [0]]]
+            yield n, den, groups
+            if not groups:
+                break
+        return
     members = [[i] for i in range(len(batch))]
     for n, i in enumerate(steps, start=1):
         den, images = affine_batch(den, batch, tables[sch.phase(i)])

@@ -45,10 +45,11 @@ from .intervals import (
     _ends,
     _part,
     _quoted,
+    _set,
     _span,
     as_rational,
 )
-from .plmaps import DEFAULT_BUDGET, PropagationBudget, Schedule, _walk, check_within, propagate
+from .plmaps import DEFAULT_BUDGET, PropagationBudget, Schedule, _walk, check_within
 
 CERTIFIED_FAIL = "CERTIFIED_FAIL"
 WITNESSED_UP_TO = "WITNESSED_UP_TO"
@@ -94,11 +95,8 @@ def hitting_set(
     check_within(u, sch.domain, "U =")
     check_within(v, sch.domain, "V =")
     _check_horizon(horizon)
-    members = tuple(
-        n
-        for n, cur in enumerate(propagate(sch, u, range(horizon), budget), start=1)
-        if cur.meets(v)
-    )
+    walk = _walk(sch, u.den, [u.keys], range(horizon), budget)  # U is checked once, above
+    members = tuple(n for n, den, ((keys, _),) in walk if _set(den, keys).meets(v))
     return HittingSet(u=u, v=v, horizon=horizon, members=members)
 
 

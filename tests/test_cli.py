@@ -549,7 +549,7 @@ class TestExitCodes:
         # a 4,001-digit domain and width: k has about 8,000 digits
         def unreached(*args, **kwargs):
             raise AssertionError("a cell was stepped")
-        monkeypatch.setattr(topology, "propagate", unreached)
+        monkeypatch.setattr(topology, "_walk", unreached)
         big = "1" + "0" * 4000
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"domain": f"[0,{big}]", "cycle": [
@@ -565,7 +565,7 @@ class TestExitCodes:
                                                                          monkeypatch):
         def unreached(*args, **kwargs):
             raise AssertionError("a cell was stepped")
-        monkeypatch.setattr(topology, "propagate", unreached)
+        monkeypatch.setattr(topology, "_walk", unreached)
         code, doc, err = run_cli(capsys, "sensitivity", "--system", "tent", "--delta", "1/8",
                                  "--scale", "1/10000000", "--H", "1")
         assert code == 3 and doc is None
@@ -1053,6 +1053,20 @@ class TestCommandTable:
         with pytest.raises(TypeError):
             cli._json_parts({"rows": [listing]})
 
+    def test_every_part_but_the_blocks_is_encoded_before_a_block_is_joined(self):
+        read = []
+
+        def blocks():
+            read.append(1)
+            yield ",1"
+
+        with pytest.raises(ValueError):  # NaN is not strict JSON
+            cli._json_parts({"rows": cli._Encoded(blocks()), "after": float("nan")})
+        assert not read
+        parts = cli._json_parts({"rows": cli._Encoded(blocks()), "after": 2})
+        assert not read  # the blocks are joined only as the parts are read
+        assert "".join(parts) == '{"rows":[1],"after":2}' and read == [1]
+
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_help(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
@@ -1113,8 +1127,33 @@ class TestListingWriter:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 65,536 rows, 5.3 MB: the blocks are the one copy of the listing's text
-        assert peak <= 1.5 * out.stat().st_size
+        # 65,536 rows, 5.3 MB: each block is joined as it is written, so the listing's
+        # text is never held whole
+        assert peak <= 0.25 * out.stat().st_size
+
+    @pytest.mark.parametrize("command", list(GRID_VERDICTS))
+    @pytest.mark.parametrize("system,grid", [("tent", "1/16"), ("example31", "3/32")])
+    def test_stdout_and_out_get_the_same_bytes(self, capsys, tmp_path, command, system, grid):
+        argv = [command, "--system", system, "--grid", grid, "--H", "12"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert not capsys.readouterr().out
+        assert out.read_bytes() == printed.encode("utf-8")
+
+    @pytest.mark.parametrize("argv,code", [
+        (["weakmix", "--system", "tent", "--grid", "1/64", "--H", "8"], 3),  # k^4 rows refused
+        (["transitivity", "--system", "tent", "--grid", "1/8", "--H", "x"], 2),
+        (["mixing", "--system", "tent", "--grid", "1/8", "--H", "0"], 2),
+    ])
+    def test_a_failed_grid_command_leaves_out_untouched(self, capsys, tmp_path, argv, code):
+        out = tmp_path / "report.json"
+        out.write_bytes(b"an earlier report\n")
+        assert main([*argv, "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert not captured.out and json.loads(captured.err)["command"] == argv[0]
+        assert out.read_bytes() == b"an earlier report\n"
 
 
 class TestVerify:

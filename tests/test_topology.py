@@ -33,6 +33,7 @@ from nadyn import (
     transitivity_verdict,
     weakmix_verdict,
 )
+from nadyn.plmaps import check_within
 from randgen import UNIT, interval_sets_in, schedules
 
 TENT = bundled_example("tent")
@@ -61,6 +62,19 @@ class TestHittingSet:
     def test_u_and_v_must_lie_in_the_domain(self, u, v, label):
         with pytest.raises(OutOfDomain, match=rf'^{label} = "\[2,3\]" is not in the domain'):
             hitting_set(TENT, iset(u), iset(v), 3)
+
+    def test_u_and_v_are_each_checked_once(self, monkeypatch):
+        checked = []
+
+        def counting(s, domain, label="set"):
+            checked.append((s, label))
+            check_within(s, domain, label)
+
+        monkeypatch.setattr("nadyn.topology.check_within", counting)
+        monkeypatch.setattr("nadyn.plmaps.check_within", counting)
+        u, v = iset("[1/2,5/8]"), iset("[0,1/8]")
+        assert hitting_set(TENT, u, v, 5).members == (2, 3, 4, 5)
+        assert checked == [(u, "U ="), (v, "V =")]
 
 
 class TestGrids:

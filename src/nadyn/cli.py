@@ -26,7 +26,6 @@ import os
 import re
 import sys
 from itertools import accumulate, chain, compress
-from operator import add
 from typing import Iterable, Iterator
 
 from . import __version__
@@ -71,7 +70,6 @@ from .topology import (
     SensitivityCertificate,
     SensitivityFailure,
     Verdict,
-    _charge,
     certified_fail_verdict,
     hitting_set,
     invariant_set_certificate,
@@ -166,16 +164,18 @@ def _verdict_json(v: Verdict, sch: Schedule) -> dict:
     if v.tail is not None:
         doc["tail"] = v.tail
     if v.grid is not None:
-        # each label is encoded once: a weak-mixing listing names k^2 labels in k^4 rows
+        # witnesses as the verdict's own score table: k or k^2 classes and a d x d table,
+        # not k^2 or k^4 rows
         cells = [str(c) for c in open_grid(sch.domain, v.grid)]
-        if v.witnesses.pairs:
-            labels, first, second = [[cu, cw] for cu in cells for cw in cells], "pair1", "pair2"
-        else:
-            labels, first, second = cells, "U", "V"
-        texts = [_dumps(label) for label in labels]
-        score = "tail_start" if v.property_name == "mixing" else "n"
-        doc["witnesses"] = _listing(v.witnesses, texts, first, second, score)
-        doc["unhit"] = _listing(v.unhit, texts, first, second, score)
+        side = v.witnesses
+        doc["witnesses"] = {
+            "items": "cell_pairs" if side.pairs else "cells",
+            "cells": cells,
+            "classes": side.classes,
+            "table": side.table,
+            "score": "tail_start" if v.property_name == "mixing" else "n",
+        }
+        doc["unhit"] = _listing(v.unhit, cells)
     if v.certificate is not None:
         c = v.certificate
         doc["certificate"] = {
@@ -187,34 +187,38 @@ def _verdict_json(v: Verdict, sch: Schedule) -> dict:
     return doc
 
 
-def _listing(side: PairPairs, texts: list[str], first: str, second: str,
-             score: str) -> _Encoded:
-    """One listing side as JSON text, one block per first item; no Python code runs per row.
+def _listing(side: PairPairs, cells: list[str]) -> _Encoded:
+    """The unhit side as JSON text, one block per first item; no Python code runs per row.
 
-    Row (i, j) scoring n is heads[i] + seconds[j] + ends[n], texts being the
-    items' labels as JSON: the score is left out when n is 0 (the unhit side).
-    The pieces and each class's template are built here, before the report's
-    file opens; the blocks are joined only as the report is written.  Each
-    class's fragments seconds[j] + ends[n] are built in C at its first item
-    and dropped after its last, and the block of each of its items is one
-    join of them, so the listing's text is never held whole.
+    Row (i, j) is heads[i] + seconds[j], from the items' labels as JSON:
+    the cells, or the k^2 cell pairs, each encoded once, and none when no
+    row is listed.  The pieces and each class's template are built here,
+    before the report's file opens; the blocks are joined only as the
+    report is written.  Each class's fragments are picked in C at its first
+    item and dropped after its last, and the block of each of its items is
+    one join of them, so the listing's text is never held whole.
     """
+    templates = [keep for keep, _ in side.templates()]
+    if not any(templates):
+        return _Encoded(())
+    if side.pairs:
+        labels, first, second = [[cu, cw] for cu in cells for cw in cells], "pair1", "pair2"
+    else:
+        labels, first, second = cells, "U", "V"
+    texts = [_dumps(label) for label in labels]
     heads = [f',{{"{first}":{t}' for t in texts]
-    seconds = [f',"{second}":{t}' for t in texts]
-    ends = ["}", *(f',"{score}":{n}}}' for n in range(1, max(map(max, side.table)) + 1))]
-    templates = list(side.templates())
+    seconds = [f',"{second}":{t}}}' for t in texts]
     last = {c: i for i, c in enumerate(side.classes)}
 
     def blocks() -> Iterator[str]:
         built: dict[int, list[str]] = {}
         for i, c in enumerate(side.classes):
-            keep, scores = templates[c]
+            keep = templates[c]
             if not keep:
                 continue
             fragments = built.get(c)
             if fragments is None:
-                fragments = built[c] = ["", *map(add, compress(seconds, keep),
-                                                 map(ends.__getitem__, compress(scores, keep)))]
+                fragments = built[c] = ["", *compress(seconds, keep)]
             yield heads[i].join(fragments)
             if last[c] == i:
                 del built[c]
@@ -394,8 +398,12 @@ _VERDICTS = {
 def _cmd_verdict(args, sch: Schedule, budget: PropagationBudget) -> tuple[dict, dict]:
     g = parse_rational(args.grid)
     verdict = _VERDICTS[args.command](sch, g, args.H, budget)
-    if verdict.witnesses.pairs:  # the report lists every two cell pairs, k^4 rows
-        _charge(budget, "grid", g, verdict.witnesses.k, 4, "whose k^4 report rows exceed")
+    if verdict.unhit.pairs:  # the report lists each unhit pair of cell pairs, up to k^4 rows
+        rows, cap = len(verdict.unhit), max(budget.max_parts, DEFAULT_BUDGET.max_parts)
+        if rows > cap:
+            raise BudgetExceeded(0, rows, cap, f"grid width {_quoted(str(g))} gives k = "
+                                 f"{_quoted(str(verdict.unhit.k))} cells, whose {rows} unhit "
+                                 f"report rows exceed {cap} parts")
     return {"grid": _fr(g), "H": args.H}, _verdict_json(verdict, sch)
 
 

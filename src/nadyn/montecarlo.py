@@ -200,7 +200,8 @@ def _samples(cfg: SampleConfig, lo: float, hi: float,
     # each double takes one draw of the generator, and lo + (hi - lo) * u is
     # uniform()'s own formula, so the blocks are exactly the doubles of one
     # uniform(lo, hi, cfg.sample_count)
-    if not math.isfinite(hi - lo):  # uniform() refuses it too
+    width = hi - lo
+    if not math.isfinite(width):  # uniform() refuses it too
         raise MalformedInput(f"the samples' range [{lo!r}, {hi!r}] is wider than the "
                              "largest double")
     if draw is None:
@@ -208,8 +209,11 @@ def _samples(cfg: SampleConfig, lo: float, hi: float,
     rng = np.random.default_rng(cfg.seed)
     for start in range(0, cfg.sample_count, _BLOCK):
         xs = rng.random(out=draw[: min(_BLOCK, cfg.sample_count - start)])
-        xs *= hi - lo
-        xs += lo
+        # random() gives doubles in [0, 1), never -0.0: x * 1.0 and x + 0.0 are x
+        if width != 1.0:
+            xs *= width
+        if lo != 0.0:
+            xs += lo
         yield xs
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -47,6 +48,16 @@ def run_cli(capsys, *argv):
     doc = json.loads(captured.out) if captured.out.strip() else None
     err = json.loads(captured.err) if captured.err.strip() else None
     return code, doc, err
+
+
+def witness_rows(w: dict) -> list[dict]:
+    """A report's class-form ``witnesses`` as the row dicts of the listing it stands for."""
+    pairs = w["items"] == "cell_pairs"
+    items = [[u, v] for u in w["cells"] for v in w["cells"]] if pairs else w["cells"]
+    first, second = ("pair1", "pair2") if pairs else ("U", "V")
+    return [{first: items[i], second: items[j], w["score"]: n}
+            for i, ci in enumerate(w["classes"]) for j, cj in enumerate(w["classes"])
+            if (n := w["table"][ci][cj])]
 
 
 LONG_POINT = "2" + "0" * 299  # 300 digits, past the end of every bundled domain
@@ -518,17 +529,29 @@ class TestExitCodes:
 
     def test_a_weakmix_report_past_the_budget_is_refused_before_any_row(self, capsys,
                                                                         monkeypatch):
-        # 33 cells: the 33^2 masks fit the default 2^20 parts, the 33^4 report rows do not
+        # 64 cells: the 64^2 masks fit the default 2^20 parts, the 9,203,712 unhit
+        # report rows do not
         def no_rows(*args):
             raise AssertionError("report rows built")
         monkeypatch.setattr(topology.PairPairs, "templates", no_rows)
-        code, doc, err = run_cli(capsys, "weakmix", "--system", "tent",
-                                 "--grid", "1/33", "--H", "8")
+        code, doc, err = run_cli(capsys, "weakmix", "--system", "example31",
+                                 "--grid", "3/128", "--H", "8")
         assert code == 3 and doc is None
         assert (err["error"], err["step"], err["parts"], err["max_parts"]) == (
-            "budget_exceeded", 0, 33**4, 1 << 20)
-        assert err["detail"] == ('grid width "1/33" gives k = "33" cells, '
-                                 'whose k^4 report rows exceed 1048576 parts')
+            "budget_exceeded", 0, 9_203_712, 1 << 20)
+        assert err["detail"] == ('grid width "3/128" gives k = "64" cells, '
+                                 'whose 9203712 unhit report rows exceed 1048576 parts')
+
+    def test_a_weakmix_report_is_charged_its_unhit_rows_not_k_to_the_4(self, capsys):
+        # 64 cells: 64^4 rows are past 2^20, but none is unhit and the witnesses are
+        # a score table
+        code, doc, err = run_cli(capsys, "weakmix", "--system", "tent",
+                                 "--grid", "1/64", "--H", "8")
+        assert code == 0 and err is None
+        result = doc["result"]
+        assert result["kind"] == "WITNESSED_UP_TO" and result["unhit"] == []
+        assert len(result["witnesses"]["classes"]) == 64**2
+        assert len(json.dumps(result["witnesses"], separators=(",", ":"))) < 16_000
 
     def test_a_refusal_past_every_json_integer_is_strict_json(self, capsys, monkeypatch):
         # 10^3000 cells: k*k has 6,001 digits, past json's int limit from Python 3.11 on
@@ -1012,7 +1035,8 @@ class TestCommandTable:
         witnesses = [{**names(*item), score: n} for item, n in verdict.witnesses]
         unhit = [names(*item) for item in verdict.unhit]
         assert code == 0 and doc["result"]["kind"] == verdict.kind == kind
-        assert doc["result"]["witnesses"] == witnesses and doc["result"]["unhit"] == unhit
+        assert witness_rows(doc["result"]["witnesses"]) == witnesses
+        assert doc["result"]["unhit"] == unhit
         assert len(witnesses) + len(unhit) == len(cells) ** (4 if command == "weakmix" else 2)
 
     @pytest.mark.parametrize("command", list(GRID_VERDICTS))
@@ -1033,13 +1057,19 @@ class TestCommandTable:
             labels, first, second = cells, "U", "V"
         score = "tail_start" if command == "mixing" else "n"
         result = report["result"]
-        result["witnesses"] = [{first: a, second: b, score: n}
-                               for a, b, n in verdict.witnesses.rows(labels)]
+        side = verdict.witnesses
+        assert result["witnesses"] == {
+            "items": "cell_pairs" if side.pairs else "cells", "cells": cells,
+            "classes": list(side.classes), "table": [list(row) for row in side.table],
+            "score": score}
+        witnesses = witness_rows(result["witnesses"])
+        assert witnesses == [{first: a, second: b, score: n}
+                             for a, b, n in side.rows(labels)]
         result["unhit"] = [{first: a, second: b} for a, b, _ in verdict.unhit.rows(labels)]
         assert out == json.dumps(report, separators=(",", ":"), allow_nan=False) + "\n"
         witnessed = system == "tent"
         assert result["kind"] == ("WITNESSED_UP_TO" if witnessed else "INCONCLUSIVE")
-        assert bool(result["witnesses"]) and bool(result["unhit"]) != witnessed
+        assert bool(witnesses) and bool(result["unhit"]) != witnessed
 
     def test_a_written_listing_goes_in_by_place_and_never_elsewhere(self):
         # blocks of items, each item after a comma; an empty block adds nothing
@@ -1091,34 +1121,69 @@ def listing_sides(draw):
     return topology.PairPairs(k, pairs, classes, table, draw(st.booleans()))
 
 
+# an empty listing on either side, and a class that keeps no row on either side
+SIDE_EXAMPLES = [
+    topology.PairPairs(2, False, (0, 1), ((0, 0), (0, 0)), True),
+    topology.PairPairs(2, True, (0, 0, 1, 0), ((3, 1), (2, 5)), False),
+    topology.PairPairs(3, False, (0, 1, 2), ((0, 1, 0), (1, 2, 3), (0, 0, 0)), True),
+]
+
+
+class TestWitnessTable:
+    @settings(max_examples=300, deadline=None)
+    @given(listing_sides(), st.sampled_from(["transitivity", "weak_mixing", "mixing"]))
+    @example(SIDE_EXAMPLES[0], "transitivity")
+    @example(SIDE_EXAMPLES[1], "mixing")
+    @example(SIDE_EXAMPLES[2], "weak_mixing")
+    def test_the_class_form_expands_to_the_witness_rows(self, side, name):
+        sch = bundled_example("tent")
+        witnesses = dataclasses.replace(side, hit=True)
+        unhit = dataclasses.replace(side, hit=False)
+        kind = "INCONCLUSIVE" if len(unhit) else "WITNESSED_UP_TO"
+        verdict = topology.Verdict(name, kind, F(1, side.k), 1, witnesses=witnesses,
+                                   unhit=unhit)
+        cells = [str(c) for c in open_grid(sch.domain, verdict.grid)]
+        if side.pairs:
+            labels, first, second = [[a, b] for a in cells for b in cells], "pair1", "pair2"
+        else:
+            labels, first, second = cells, "U", "V"
+        score = "tail_start" if name == "mixing" else "n"
+        rows = [{first: a, second: b, score: n} for a, b, n in witnesses.rows(labels)]
+        written = cli._dumps(cli._verdict_json(verdict, sch)["witnesses"])
+        assert witness_rows(json.loads(written)) == rows
+        assert len(rows) == len(witnesses)
+
+
 class TestListingWriter:
     @settings(max_examples=300, deadline=None)
-    @given(listing_sides(), st.lists(st.text(max_size=4), min_size=6, max_size=6),
-           st.sampled_from(["n", "tail_start"]))
-    # an empty side: nothing hit, and everything hit
-    @example(topology.PairPairs(2, False, (0, 1), ((0, 0), (0, 0)), True), ["a"] * 6, "n")
-    @example(topology.PairPairs(2, True, (0, 0, 1, 0), ((3, 1), (2, 5)), False), ["a"] * 6,
-             "tail_start")
-    # one class keeps no row on either side
-    @example(topology.PairPairs(3, False, (0, 1, 2), ((0, 1, 0), (1, 2, 3), (0, 0, 0)), True),
-             ["(0,1/3)", "(1/3,2/3)", "(2/3,1)", "", "", ""], "n")
-    def test_the_written_listing_is_json_of_the_row_dicts(self, side, names, score):
+    @given(listing_sides(), st.lists(st.text(max_size=4), min_size=6, max_size=6))
+    @example(SIDE_EXAMPLES[0], ["a"] * 6)
+    @example(SIDE_EXAMPLES[1], ["a"] * 6)
+    @example(SIDE_EXAMPLES[2], ["(0,1/3)", "(1/3,2/3)", "(2/3,1)", "", "", ""])
+    def test_the_written_listing_is_json_of_the_row_dicts(self, side, names):
+        side = dataclasses.replace(side, hit=False)  # the writer serves the unhit side
         cells = names[:side.k]
         if side.pairs:
             labels, first, second = [[a, b] for a in cells for b in cells], "pair1", "pair2"
         else:
             labels, first, second = cells, "U", "V"
-        rows = [{first: a, second: b, score: n} if side.hit else {first: a, second: b}
-                for a, b, n in side.rows(labels)]
-        written = cli._listing(side, [cli._dumps(label) for label in labels], first, second,
-                               score)
+        rows = [{first: a, second: b} for a, b, _ in side.rows(labels)]
+        written = cli._listing(side, cells)
         assert "".join(cli._json_parts({"rows": written})) == json.dumps(
             {"rows": rows}, separators=(",", ":"))
         assert len(rows) == len(side)
 
+    def test_an_empty_listing_encodes_no_label(self, monkeypatch):
+        def no_labels(*args):
+            raise AssertionError("a label was encoded")
+        monkeypatch.setattr(cli, "_dumps", no_labels)
+        nothing_unhit = SIDE_EXAMPLES[1]
+        assert list(cli._listing(nothing_unhit, ["(0,1/2)", "(1/2,1)"])) == ["[]"]
+
     def test_a_weakmix_report_peaks_near_its_text_size(self, tmp_path):
         out = tmp_path / "w.json"
-        argv = ["weakmix", "--system", "tent", "--grid", "1/16", "--H", "16", "--out", str(out)]
+        argv = ["weakmix", "--system", "example31", "--grid", "3/64", "--H", "8",
+                "--out", str(out)]
         assert main(argv) == 0  # imports and first-call caches are not the report's
         topology._hitting_matrix.cache_clear()
         tracemalloc.start()
@@ -1127,8 +1192,8 @@ class TestListingWriter:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 65,536 rows, 5.3 MB: each block is joined as it is written, so the listing's
-        # text is never held whole
+        # 552,960 unhit rows, 45.6 MB: each block is joined as it is written, so the
+        # listing's text is never held whole
         assert peak <= 0.25 * out.stat().st_size
 
     @pytest.mark.parametrize("command", list(GRID_VERDICTS))
@@ -1143,7 +1208,8 @@ class TestListingWriter:
         assert out.read_bytes() == printed.encode("utf-8")
 
     @pytest.mark.parametrize("argv,code", [
-        (["weakmix", "--system", "tent", "--grid", "1/64", "--H", "8"], 3),  # k^4 rows refused
+        # 9,203,712 unhit rows refused
+        (["weakmix", "--system", "example31", "--grid", "3/128", "--H", "8"], 3),
         (["transitivity", "--system", "tent", "--grid", "1/8", "--H", "x"], 2),
         (["mixing", "--system", "tent", "--grid", "1/8", "--H", "0"], 2),
     ])

@@ -378,6 +378,14 @@ class TestStreaming:
         assert [len(xs) for xs in blocks] == [_BLOCK] * 3 + [7]
         assert np.array_equal(np.concatenate(blocks), whole)
 
+    @pytest.mark.parametrize("lo,hi", [(0.0, 2.5), (-0.5, 0.5)])
+    def test_a_skipped_scale_or_shift_keeps_the_doubles_of_one_draw(self, lo, hi):
+        # lo = 0 skips only the shift, width 1 only the scale
+        count = _BLOCK + 7
+        whole = np.random.default_rng(5).uniform(lo, hi, count)
+        blocks = [xs.copy() for xs in _samples(SampleConfig(count, seed=5), lo, hi)]
+        assert np.array_equal(np.concatenate(blocks), whole)
+
     def test_a_huge_sample_count_yields_its_first_block_at_once(self):
         # a whole draw of 10**12 doubles would need 8 TB
         first = next(_samples(SampleConfig(10**12, seed=9), 0.0, 1.0))

@@ -85,7 +85,8 @@ from .topology import (
     CellWitness,
     HittingSet,
     InvariantSetCertificate,
-    PairPairs,
+    ListingSide,
+    RunListing,
     SensitivityCertificate,
     SensitivityFailure,
     Verdict,

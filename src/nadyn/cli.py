@@ -25,7 +25,7 @@ import json
 import os
 import re
 import sys
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain
 from typing import Iterable, Iterator
 
 from . import __version__
@@ -66,7 +66,7 @@ from .sysio import (
     schedule_to_dict,
 )
 from .topology import (
-    PairPairs,
+    ListingSide,
     SensitivityCertificate,
     SensitivityFailure,
     Verdict,
@@ -163,16 +163,15 @@ def _verdict_json(v: Verdict, sch: Schedule) -> dict:
     }
     if v.tail is not None:
         doc["tail"] = v.tail
-    if v.grid is not None:
-        # witnesses as the verdict's own score table: k or k^2 classes and a d x d table,
-        # not k^2 or k^4 rows
+    if v.listing is not None:
+        # witnesses as the verdict's own run table, not k^2 or k^4 rows
         cells = [str(c) for c in open_grid(sch.domain, v.grid)]
-        side = v.witnesses
+        listing = v.listing
         doc["witnesses"] = {
-            "items": "cell_pairs" if side.pairs else "cells",
+            "items": "cell_pairs" if listing.pairs else "cells",
             "cells": cells,
-            "classes": side.classes,
-            "table": side.table,
+            "runs": list(listing.spans()),
+            **({"table": listing.table} if listing.pairs else {}),
             "score": "tail_start" if v.property_name == "mixing" else "n",
         }
         doc["unhit"] = _listing(v.unhit, cells)
@@ -187,43 +186,28 @@ def _verdict_json(v: Verdict, sch: Schedule) -> dict:
     return doc
 
 
-def _listing(side: PairPairs, cells: list[str]) -> _Encoded:
+def _listing(side: ListingSide, cells: list[str]) -> _Encoded:
     """The unhit side as JSON text, one block per first item; no Python code runs per row.
 
     Row (i, j) is heads[i] + seconds[j], from the items' labels as JSON:
     the cells, or the k^2 cell pairs, each encoded once, and none when no
-    row is listed.  The pieces and each class's template are built here,
-    before the report's file opens; the blocks are joined only as the
-    report is written.  Each class's fragments are picked in C at its first
-    item and dropped after its last, and the block of each of its items is
+    row is listed.  The pieces are built here, before the report's file
+    opens; the blocks are joined only as the report is written.  Each first
+    item's fragments are picked in C from the runs (a weak-mixing class's
+    once, at its first item, and dropped after its last), and its block is
     one join of them, so the listing's text is never held whole.
     """
-    templates = [keep for keep, _ in side.templates()]
-    if not any(templates):
+    if not side:
         return _Encoded(())
-    if side.pairs:
+    if side.listing.pairs:
         labels, first, second = [[cu, cw] for cu in cells for cw in cells], "pair1", "pair2"
     else:
         labels, first, second = cells, "U", "V"
     texts = [_dumps(label) for label in labels]
     heads = [f',{{"{first}":{t}' for t in texts]
     seconds = [f',"{second}":{t}}}' for t in texts]
-    last = {c: i for i, c in enumerate(side.classes)}
-
-    def blocks() -> Iterator[str]:
-        built: dict[int, list[str]] = {}
-        for i, c in enumerate(side.classes):
-            keep = templates[c]
-            if not keep:
-                continue
-            fragments = built.get(c)
-            if fragments is None:
-                fragments = built[c] = ["", *compress(seconds, keep)]
-            yield heads[i].join(fragments)
-            if last[c] == i:
-                del built[c]
-
-    return _Encoded(blocks())
+    return _Encoded(head + head.join(picked) if picked else ""
+                    for head, (picked, _) in zip(heads, side.templates(seconds)))
 
 
 def _sensitivity_json(res: SensitivityCertificate | SensitivityFailure) -> dict:
@@ -398,12 +382,12 @@ _VERDICTS = {
 def _cmd_verdict(args, sch: Schedule, budget: PropagationBudget) -> tuple[dict, dict]:
     g = parse_rational(args.grid)
     verdict = _VERDICTS[args.command](sch, g, args.H, budget)
-    if verdict.unhit.pairs:  # the report lists each unhit pair of cell pairs, up to k^4 rows
-        rows, cap = len(verdict.unhit), max(budget.max_parts, DEFAULT_BUDGET.max_parts)
-        if rows > cap:
-            raise BudgetExceeded(0, rows, cap, f"grid width {_quoted(str(g))} gives k = "
-                                 f"{_quoted(str(verdict.unhit.k))} cells, whose {rows} unhit "
-                                 f"report rows exceed {cap} parts")
+    # the report lists each unhit row: up to k^2 cell pairs, or k^4 pairs of them
+    rows, cap = len(verdict.unhit), max(budget.max_parts, DEFAULT_BUDGET.max_parts)
+    if rows > cap:
+        raise BudgetExceeded(0, rows, cap, f"grid width {_quoted(str(g))} gives k = "
+                             f"{_quoted(str(verdict.listing.k))} cells, whose {rows} unhit "
+                             f"report rows exceed {cap} parts")
     return {"grid": _fr(g), "H": args.H}, _verdict_json(verdict, sch)
 
 

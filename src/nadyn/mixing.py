@@ -59,19 +59,20 @@ def density_stats(s: IndexSet, tail_start: int) -> DensityStats:
     """Exact max/min of the counting ratio over n in [tail_start, horizon]."""
     if not (1 <= tail_start <= s.horizon):
         raise ValueError("need 1 <= tail_start <= horizon")
-    # members are sorted and distinct, so count is |S ∩ {0..n-1}| as n runs
+    # members are sorted and distinct, so count is |S ∩ {0..n-1}| as n runs; the best
+    # ratios are kept as (count, n) and compared by cross-multiplying
     members = s.members
     count = bisect_left(members, tail_start)
-    best_hi = best_lo = Fraction(count, tail_start)
+    hi_count = lo_count = count
+    hi_n = lo_n = tail_start
     for n in range(tail_start + 1, s.horizon + 1):
         if count < len(members) and members[count] < n:
             count += 1
-        r = Fraction(count, n)
-        if r > best_hi:
-            best_hi = r
-        if r < best_lo:
-            best_lo = r
-    return DensityStats(upper=best_hi, lower=best_lo)
+        if count * hi_n > hi_count * n:
+            hi_count, hi_n = count, n
+        elif count * lo_n < lo_count * n:
+            lo_count, lo_n = count, n
+    return DensityStats(upper=Fraction(hi_count, hi_n), lower=Fraction(lo_count, lo_n))
 
 
 @dataclass(frozen=True, slots=True)

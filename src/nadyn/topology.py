@@ -21,13 +21,12 @@ cells whose images coincide at a step share one group from then on.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, groupby, islice, repeat
 from math import lcm
-from operator import not_, xor
+from operator import itemgetter, not_, sub
 from typing import Iterator
 
 from .errors import (
@@ -163,53 +162,104 @@ def recheck_certificate(cert: InvariantSetCertificate, sch: Schedule) -> bool:
 
 
 @dataclass(frozen=True, slots=True)
-class PairPairs:
-    """One side of a grid verdict's listing, kept as a score table and expanded when read.
+class RunListing:
+    """A grid verdict's listing, kept as runs of equal values and expanded when read.
 
-    The items are the k grid cells, or with ``pairs`` the k^2 cell pairs
-    (u, v), u-major.  Item i has the class classes[i], and the row (i, j)
-    scores table[classes[i]][classes[j]] (0: none within the horizon).  The
-    hit side lists the rows ((i, j), n) with n nonzero, the other side the
-    rows (i, j) scoring 0, both i-major and j-minor.  Its length comes from
-    the class counts; the rows are built only when read, from one template
-    per class (:meth:`templates`).
+    A run ends where the next one starts.  Transitivity and mixing (no
+    ``table``) list the k x k cell pairs (u, v): firsts and values give each
+    row's runs (v_first, score) in turn, u-major, each row's from v_first 0,
+    and the row (u, v) scores the value of the run of row u that holds v.
+    Weak mixing lists every two of the k^2 cell pairs, u-major: firsts and
+    values give the runs (i_first, class) of the cell pairs, and the row
+    (i, j) of two of them scores table[class of i][class of j].  A score of
+    0 means no hit within the horizon.  ``Verdict.witnesses`` and
+    ``Verdict.unhit`` are its two sides.
     """
 
     k: int
-    pairs: bool
-    classes: tuple[int, ...]
-    table: tuple[tuple[int, ...], ...]
-    hit: bool
+    firsts: tuple[int, ...]
+    values: tuple[int, ...]
+    table: tuple[tuple[int, ...], ...] = ()
+
+    @property
+    def pairs(self) -> bool:
+        return bool(self.table)
+
+    def spans(self) -> Iterator[tuple[int, ...]]:
+        """Each run as (u, v_first, v_last, score), or (i_first, i_last, class) for cell pairs."""
+        firsts, size = self.firsts, self.k * self.k if self.table else self.k
+        lasts = [(b or size) - 1 for b in firsts[1:]] + [size - 1]  # a row starts at a 0
+        if self.table:
+            return zip(firsts, lasts, self.values)
+        rows = accumulate(map(not_, firsts), initial=-1)
+        return zip(islice(rows, 1, None), firsts, lasts, self.values)
+
+
+class ListingSide:
+    """One side of a RunListing, read-only: its rows scoring nonzero (``hit``) or 0.
+
+    The witness side yields ((i, j), n), the other (i, j), i-major and
+    j-minor; i and j are cells, or for weak mixing cell pairs (u, v).  Its
+    length comes from the run lengths, and the rows are built only when read,
+    from one template per first item (:meth:`templates`).
+    """
+
+    __slots__ = ("listing", "hit")
+
+    def __init__(self, listing: RunListing, hit: bool):
+        self.listing, self.hit = listing, hit
 
     def __len__(self) -> int:
-        counts = Counter(self.classes)
-        return sum(counts[c1] * counts[c2] for c1, row in enumerate(self.table)
-                   for c2, n in enumerate(row) if bool(n) == self.hit)
+        lst, hit = self.listing, self.hit
+        if not lst.table:
+            return sum(b - a + 1 for _, a, b, n in lst.spans() if bool(n) == hit)
+        counts = [0] * len(lst.table)
+        for a, b, c in lst.spans():
+            counts[c] += b - a + 1
+        return sum(counts[c1] * counts[c2] for c1, row in enumerate(lst.table)
+                   for c2, n in enumerate(row) if bool(n) == hit)
 
-    def templates(self) -> Iterator[tuple[list, list[int]]]:
-        """Each class's row template (keep, scores) in class order: the one source of rows.
+    def _picked(self, spans, labels: list, score=None) -> tuple[list, list]:
+        """The labels and scores of the second items this side lists, from their runs."""
+        picked, scores = [], []
+        for a, b, x in spans:
+            n = x if score is None else score[x]
+            if bool(n) == self.hit:
+                picked += labels[a:b + 1]
+                scores += repeat(n, b - a + 1)
+        return picked, scores
 
-        scores[j] is the score of the row (i, j) for every first item i of
-        the class, and this side lists that row iff keep[j] is true.  A class
-        that lists no row here gets ([], []).  Both lists are built in C.
+    def templates(self, labels: list) -> Iterator[tuple[list, list]]:
+        """Each first item's listed rows as (labels of their second items, scores), in order.
+
+        A cell's template comes from its row's runs.  A weak-mixing class's
+        is picked once, at its first item, from the runs, and dropped after
+        its last; its items share it.  Both lists are built in C.
         """
-        for row in self.table:
-            if any(row) if self.hit else 0 in row:
-                scores = list(map(row.__getitem__, self.classes))
-                yield scores if self.hit else list(map(not_, scores)), scores
-            else:
-                yield [], []
+        lst = self.listing
+        if not lst.table:
+            for _, row in groupby(lst.spans(), itemgetter(0)):
+                yield self._picked(((a, b, n) for _, a, b, n in row), labels)
+            return
+        spans = list(lst.spans())
+        last = {c: r for r, (_, _, c) in enumerate(spans)}
+        built: dict[int, tuple[list, list]] = {}
+        for r, (a, b, c) in enumerate(spans):
+            template = built.get(c)
+            if template is None:
+                template = built[c] = self._picked(spans, labels, lst.table[c])
+            yield from repeat(template, b - a + 1)
+            if last[c] == r:
+                del built[c]
 
     def rows(self, labels: list) -> Iterator[tuple]:
         """This side's rows (labels[i], labels[j], n), i-major and j-minor; n is 0 when unhit."""
-        templates = [(list(compress(labels, keep)), list(compress(scores, keep)))
-                     for keep, scores in self.templates()]
-        return chain.from_iterable(zip(repeat(first), *templates[c1])
-                                   for first, c1 in zip(labels, self.classes))
+        return chain.from_iterable(zip(repeat(first), *template)
+                                   for first, template in zip(labels, self.templates(labels)))
 
     def __iter__(self) -> Iterator[tuple]:
-        k = self.k
-        items = [(u, v) for u in range(k) for v in range(k)] if self.pairs else range(k)
+        k = self.listing.k
+        items = list(map(divmod, range(k * k), repeat(k))) if self.listing.table else range(k)
         for i, j, n in self.rows(items):
             yield ((i, j), n) if self.hit else (i, j)
 
@@ -220,10 +270,11 @@ class Verdict:
 
     witnesses maps each tested pair (or pair of pairs) to a concrete
     hitting index; unhit lists the pairs that block a WITNESSED verdict.
-    A grid verdict keeps both as PairPairs, a score table whose rows are
-    built only when read; they are empty for a CERTIFIED_FAIL verdict,
-    which carries the underlying certificate instead.  tail is the mixing
-    tail start (mixing property only).
+    A grid verdict keeps its listing once, as a RunListing, and both are
+    read-only views of it whose rows are built only when read.  A
+    CERTIFIED_FAIL verdict has no listing, so both are empty; it carries
+    the underlying certificate instead.  tail is the mixing tail start
+    (mixing property only).
     """
 
     property_name: str
@@ -231,13 +282,20 @@ class Verdict:
     grid: Fraction | None
     horizon: int
     tail: int | None = None
-    witnesses: tuple | PairPairs = ()
-    unhit: tuple | PairPairs = ()
+    listing: RunListing | None = None
     certificate: InvariantSetCertificate | None = None
 
     @property
     def witnessed(self) -> bool:
         return self.kind == WITNESSED_UP_TO
+
+    @property
+    def witnesses(self) -> ListingSide | tuple:
+        return () if self.listing is None else ListingSide(self.listing, True)
+
+    @property
+    def unhit(self) -> ListingSide | tuple:
+        return () if self.listing is None else ListingSide(self.listing, False)
 
 
 def _grid(domain: Interval, g: Fraction, error: type, noun: str) -> tuple[int, int, int, int]:
@@ -275,25 +333,25 @@ def closed_grid(domain: Interval, g: Fraction) -> tuple[Interval, ...]:
     return tuple(_closed_cells(*_grid(domain, as_rational(g), ScaleMismatch, "cell")))
 
 
-def _charge(budget: PropagationBudget, noun: str, width: Fraction, k: int, power: int,
-            what: str) -> None:
-    """Refuse at step 0 the k**power items (named by what) of k cells, past the budget.
+def _charge(budget: PropagationBudget, noun: str, width: Fraction, k: int, count: int,
+            what: str, step: int = 0) -> None:
+    """Refuse the count items (named by what) of a grid of k cells, past the budget.
 
-    It runs before any item is built.  The limit is never below the default
-    budget: a smaller budget bounds the sets, not the grid.
+    At step 0 it runs before any item is built.  The limit is never below
+    the default budget: a smaller budget bounds the sets, not the grid.
     """
-    count, cap = k**power, max(budget.max_parts, DEFAULT_BUDGET.max_parts)
+    cap = max(budget.max_parts, DEFAULT_BUDGET.max_parts)
     if count <= cap:
         return
     try:
         cells = _quoted(str(k))
     except ValueError:  # past the interpreter's limit on int-to-text conversion
         cells = f"at least 2^{k.bit_length() - 1}"
-    raise BudgetExceeded(0, count, cap, f"{noun} width {_quoted(str(width))} gives k = "
+    raise BudgetExceeded(step, count, cap, f"{noun} width {_quoted(str(width))} gives k = "
                          f"{cells} cells, {what} {cap} parts")
 
 
-# matrices kept by hitting_matrix: the three verdicts of one (g, H) share one
+# run matrices kept by the memo: the three verdicts of one (g, H) share one
 _MATRIX_MEMO_SIZE = 4
 
 
@@ -328,21 +386,40 @@ def _cell_cuts(sden: int, keys, k: int, den: int, a0: int, w: int) -> list[int]:
 @lru_cache(maxsize=_MATRIX_MEMO_SIZE)
 def _hitting_matrix(
     sch: Schedule, g: Fraction, horizon: int, budget: PropagationBudget
-) -> tuple[tuple[IntervalSet, ...], tuple[tuple[int, ...], ...]]:
+) -> tuple[tuple[int, int, int, int], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]:
+    """The _grid and each cell's row of the hitting matrix as maximal runs (firsts, masks).
+
+    Row u holds masks[r] from cell firsts[r] up to the next first; firsts
+    starts at 0, and neighbouring runs differ.  The k cells are charged at
+    step 0, and the runs once the rows are built.
+    """
     k, *_ = grid = _grid(sch.domain, g, GridMismatch, "grid")
     _check_horizon(horizon)
-    _charge(budget, "grid", g, k, 2, "whose k*k masks exceed")
-    cells = _cells(*grid)
-    # bit n-1 of togs[u][j] flips at each cut j of the n-step image of cell u
-    togs = [[0] * (k + 1) for _ in range(k)]
+    _charge(budget, "grid", g, k, k, "which exceed")
+    # bit n-1 of a row's mask flips at each cut j of the n-step image of its cell
+    toggles: list[dict[int, int]] = [{} for _ in range(k)]
     for n, den, groups in _walk(sch, grid[1], _cell_keys(*grid, False), range(horizon), budget):
         bit = 1 << (n - 1)
         for keys, members in groups:
-            for j in _cell_cuts(den, keys, *grid):
-                for u in members:
-                    togs[u][j] ^= bit
-    # each row is the prefix xor of its toggles
-    return cells, tuple(tuple(accumulate(tog[:k], xor)) for tog in togs)
+            cuts = _cell_cuts(den, keys, *grid)
+            for u in members:
+                row = toggles[u]
+                for j in cuts:
+                    row[j] = row.get(j, 0) ^ bit
+    # a cell's cuts at one step are distinct, so each cut flips some bit of the mask
+    rows = []
+    for row in toggles:
+        row.pop(k, None)  # the cut at k ends the last run
+        mask = row.pop(0, 0)
+        firsts, masks = [0], [mask]
+        for j in sorted(row):
+            mask ^= row[j]
+            firsts.append(j)
+            masks.append(mask)
+        rows.append((tuple(firsts), tuple(masks)))
+    runs = sum(len(firsts) for firsts, _ in rows)
+    _charge(budget, "grid", g, k, runs, f"whose {runs} runs exceed", horizon)
+    return grid, tuple(rows)
 
 
 def hitting_matrix(
@@ -354,35 +431,53 @@ def hitting_matrix(
     """The open g-grid cells and masks[u][v], the object all grid verdicts reduce.
 
     Bit n-1 of masks[u][v] is set iff the n-step image of cell u meets cell
-    v, for n in {1..horizon}.  The last few matrices are memoized by
-    (schedule, g, horizon, budget), so the three verdicts of one (g, H)
-    propagate the cells once; errors are raised afresh, never cached.
+    v, for n in {1..horizon}.  The k*k masks are charged at step 0.  The
+    last few matrices are memoized as run rows by (schedule, g, horizon,
+    budget), so the three verdicts of one (g, H) propagate the cells once;
+    errors are raised afresh, never cached.
     """
-    return _hitting_matrix(sch, as_rational(g), horizon, budget)
+    g = as_rational(g)
+    k, *_ = grid = _grid(sch.domain, g, GridMismatch, "grid")
+    _check_horizon(horizon)
+    _charge(budget, "grid", g, k, k * k, "whose k*k masks exceed")
+    _, rows = _hitting_matrix(sch, g, horizon, budget)
+    return _cells(*grid), tuple(
+        tuple(chain.from_iterable(map(repeat, masks, map(sub, (*firsts[1:], k), firsts))))
+        for firsts, masks in rows)
 
 
 def _least_bit(mask: int) -> int:
     return (mask & -mask).bit_length()  # 1-based hitting index; 0 for no bit
 
 
-def _scored(masks, score) -> tuple[tuple[int, ...], ...]:
-    """The table score(masks[u][v]), scoring each distinct mask once."""
-    scores = {mask: score(mask) for mask in set(chain.from_iterable(masks))}
-    return tuple(tuple(map(scores.__getitem__, row)) for row in masks)
+def _runs(rows, k: int, value, across: bool = False) -> tuple[tuple[int, ...], ...]:
+    """The runs (firsts, values) of value(mask) over the matrix rows, each as long as it holds.
+
+    Each row starts anew at its first 0 (cells), or with ``across`` the rows
+    run on as the k^2 cell pairs u*k + v (weak mixing).
+    """
+    firsts, values = [], []
+    for u, (row_firsts, masks) in enumerate(rows):
+        base = u * k if across else 0
+        for v, mask in zip(row_firsts, masks):
+            x = value(mask)
+            if not (values and x == values[-1] and (across or v)):
+                firsts.append(base + v)
+                values.append(x)
+    return tuple(firsts), tuple(values)
 
 
-def _verdict(name: str, g, horizon: int, k: int, pairs: bool, classes, table,
+def _verdict(name: str, g, horizon: int, k: int, firsts, values, table=(),
              tail=None) -> Verdict:
-    """WITNESSED_UP_TO with the tail when no pair is unhit, else INCONCLUSIVE."""
-    unhit = any(0 in row for row in table)
+    """WITNESSED_UP_TO with the tail when no row scores 0, else INCONCLUSIVE."""
+    unhit = any(0 in row for row in table) if table else 0 in values
     return Verdict(
         property_name=name,
         kind=INCONCLUSIVE if unhit else WITNESSED_UP_TO,
         grid=as_rational(g),
         horizon=horizon,
         tail=None if unhit else tail,
-        witnesses=PairPairs(k, pairs, classes, table, True),
-        unhit=PairPairs(k, pairs, classes, table, False),
+        listing=RunListing(k, firsts, values, table),
     )
 
 
@@ -397,9 +492,8 @@ def transitivity_verdict(
     Never claims CERTIFIED_FAIL on its own; a negative claim needs an
     invariant-set certificate.
     """
-    _, masks = hitting_matrix(sch, g, horizon, budget)
-    return _verdict("transitivity", g, horizon, len(masks), False, tuple(range(len(masks))),
-                    _scored(masks, _least_bit))
+    (k, *_), rows = _hitting_matrix(sch, as_rational(g), horizon, budget)
+    return _verdict("transitivity", g, horizon, k, *_runs(rows, k, _least_bit))
 
 
 def weakmix_verdict(
@@ -411,18 +505,17 @@ def weakmix_verdict(
     """Witness a shared hitting time for every two ordered cell pairs.
 
     Pairs with equal masks have equal rows in the pair-of-pairs listing, so
-    the verdict reads the d distinct masks only: each cell pair's class and
-    the d x d table of least common hits, k^2 + d^2 work.  It is witnessed
-    iff no entry of the table is 0.  The k^4 listing in witnesses and unhit
-    is built only when it is iterated or written.
+    the verdict reads the d distinct masks off the runs: the runs of the
+    cell pairs' classes and the d x d table of least common hits, runs + d^2
+    work.  It is witnessed iff no entry of the table is 0.  The k^4 listing
+    in witnesses and unhit is built only when it is iterated or written.
     """
-    _, masks = hitting_matrix(sch, g, horizon, budget)
-    flat = [mask for row in masks for mask in row]
-    distinct = list(dict.fromkeys(flat))
-    class_of = {mask: c for c, mask in enumerate(distinct)}
-    classes = tuple(map(class_of.__getitem__, flat))
-    least = tuple(tuple(_least_bit(m1 & m2) for m2 in distinct) for m1 in distinct)
-    return _verdict("weak_mixing", g, horizon, len(masks), True, classes, least)
+    (k, *_), rows = _hitting_matrix(sch, as_rational(g), horizon, budget)
+    class_of: dict[int, int] = {}
+    firsts, classes = _runs(rows, k, lambda mask: class_of.setdefault(mask, len(class_of)),
+                           across=True)
+    least = tuple(tuple(_least_bit(m1 & m2) for m2 in class_of) for m1 in class_of)
+    return _verdict("weak_mixing", g, horizon, k, firsts, classes, least)
 
 
 def mixing_verdict(
@@ -432,16 +525,15 @@ def mixing_verdict(
     budget: PropagationBudget = DEFAULT_BUDGET,
 ) -> Verdict:
     """Find the least tail start N with every pair hit at all n in {N..horizon}."""
-    _, masks = hitting_matrix(sch, g, horizon, budget)
+    (k, *_), rows = _hitting_matrix(sch, as_rational(g), horizon, budget)
     full = (1 << horizon) - 1
 
     def tail_start(mask: int) -> int:
         start = (full & ~mask).bit_length() + 1  # first index past the last miss
         return start if start <= horizon else 0
 
-    table = _scored(masks, tail_start)
-    return _verdict("mixing", g, horizon, len(masks), False, tuple(range(len(masks))),
-                    table, max(map(max, table)))
+    firsts, scores = _runs(rows, k, tail_start)
+    return _verdict("mixing", g, horizon, k, firsts, scores, tail=max(scores))
 
 
 def certified_fail_verdict(
@@ -482,11 +574,32 @@ class CellWitness:
     n: int
     diameter: Fraction
 
+    @classmethod
+    def _trusted(cls, cell: Interval, n: int, diameter: Fraction) -> "CellWitness":
+        """A CellWitness from fields that are valid by construction, as Interval._trusted."""
+        w = object.__new__(cls)
+        _SET_W_CELL(w, cell), _SET_W_N(w, n), _SET_W_DIAMETER(w, diameter)
+        return w
+
 
 @dataclass(frozen=True, slots=True)
 class CellFailure:
     cell: Interval
     max_diameter: Fraction
+
+    @classmethod
+    def _trusted(cls, cell: Interval, max_diameter: Fraction) -> "CellFailure":
+        """A CellFailure from fields that are valid by construction, as Interval._trusted."""
+        f = object.__new__(cls)
+        _SET_F_CELL(f, cell), _SET_F_MAX_DIAMETER(f, max_diameter)
+        return f
+
+
+# the slots' own setters, which a frozen dataclass's __init__ reaches through the slower
+# object.__setattr__: a sensitivity result builds one cell per grid cell with them
+_SET_W_CELL, _SET_W_N, _SET_W_DIAMETER = (
+    CellWitness.cell.__set__, CellWitness.n.__set__, CellWitness.diameter.__set__)
+_SET_F_CELL, _SET_F_MAX_DIAMETER = CellFailure.cell.__set__, CellFailure.max_diameter.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -540,7 +653,7 @@ def sensitivity_certificate(
         raise ValueError("delta must be positive")
     _check_horizon(horizon)
     k, cell_den, _, w = grid = _grid(sch.domain, scale, ScaleMismatch, "cell")
-    _charge(budget, "cell", scale, k, 1, "which exceed")
+    _charge(budget, "cell", scale, k, k, "which exceed")
     gnum, gden = (2 * delta).as_integer_ratio()
     cells = _closed_cells(*grid)
     found: dict[int, CellWitness] = {}
@@ -553,7 +666,7 @@ def sensitivity_certificate(
             if span * gden > gnum * den:  # diameter > 2*delta, in integers
                 diameter = Fraction(span, den)
                 for u in members:
-                    found[u] = CellWitness(cell=cells[u], n=n, diameter=diameter)
+                    found[u] = CellWitness._trusted(cells[u], n, diameter)
                 continue
             kept.append(group)
             for u in members:
@@ -561,7 +674,7 @@ def sensitivity_certificate(
                     widest[u] = (span, den)
         groups[:] = kept
     diameters = {wd: Fraction(*wd) for wd in set(widest)}  # many cells share one
-    failed = [CellFailure(cell=cell, max_diameter=diameters[widest[u]])
+    failed = [CellFailure._trusted(cell, diameters[widest[u]])
               for u, cell in enumerate(cells) if u not in found]
     if failed:
         return SensitivityFailure(

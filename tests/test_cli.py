@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -27,6 +26,7 @@ from nadyn import (
     cesaro_deviation,
     correlation_series,
     format_rational,
+    hitting_set,
     mixing_verdict,
     open_grid,
     parse_system_file,
@@ -51,13 +51,16 @@ def run_cli(capsys, *argv):
 
 
 def witness_rows(w: dict) -> list[dict]:
-    """A report's class-form ``witnesses`` as the row dicts of the listing it stands for."""
-    pairs = w["items"] == "cell_pairs"
-    items = [[u, v] for u in w["cells"] for v in w["cells"]] if pairs else w["cells"]
-    first, second = ("pair1", "pair2") if pairs else ("U", "V")
-    return [{first: items[i], second: items[j], w["score"]: n}
-            for i, ci in enumerate(w["classes"]) for j, cj in enumerate(w["classes"])
-            if (n := w["table"][ci][cj])]
+    """A report's run-form ``witnesses`` as the row dicts of the listing it stands for."""
+    cells, runs, score = w["cells"], w["runs"], w["score"]
+    if w["items"] == "cells":  # runs [u, v_first, v_last, score]
+        return [{"U": cells[u], "V": cells[v], score: n}
+                for u, first, last, n in runs if n for v in range(first, last + 1)]
+    k = len(cells)  # runs [i_first, i_last, class] over the cell pairs (i // k, i % k)
+    items = [([cells[i // k], cells[i % k]], c) for first, last, c in runs
+             for i in range(first, last + 1)]
+    return [{"pair1": p1, "pair2": p2, score: n}
+            for p1, c1 in items for p2, c2 in items if (n := w["table"][c1][c2])]
 
 
 LONG_POINT = "2" + "0" * 299  # 300 digits, past the end of every bundled domain
@@ -515,17 +518,18 @@ class TestExitCodes:
         assert err["error"] == "budget_exceeded" and err["parts"] > 64
 
     def test_a_grid_past_the_budget_is_refused_before_any_cell(self, capsys, monkeypatch):
-        # 10^5 cells: the 10^10 masks exceed the default 2^20 parts
+        # 2 * 10^6 cells exceed the default 2^20 parts
         def no_cells(*args):
             raise AssertionError("cells built")
-        monkeypatch.setattr(topology, "_cells", no_cells)
+        monkeypatch.setattr(topology, "_cell_keys", no_cells)
+        monkeypatch.setattr(topology, "_walk", no_cells)
         code, doc, err = run_cli(capsys, "transitivity", "--system", "tent",
-                                 "--grid", "1/100000", "--H", "1")
+                                 "--grid", "1/2000000", "--H", "1")
         assert code == 3 and doc is None
         assert (err["error"], err["step"], err["parts"], err["max_parts"]) == (
-            "budget_exceeded", 0, 10**10, 1 << 20)
-        assert err["detail"] == ('grid width "1/100000" gives k = "100000" cells, '
-                                 'whose k*k masks exceed 1048576 parts')
+            "budget_exceeded", 0, 2_000_000, 1 << 20)
+        assert err["detail"] == ('grid width "1/2000000" gives k = "2000000" cells, '
+                                 'which exceed 1048576 parts')
 
     def test_a_weakmix_report_past_the_budget_is_refused_before_any_row(self, capsys,
                                                                         monkeypatch):
@@ -533,7 +537,7 @@ class TestExitCodes:
         # report rows do not
         def no_rows(*args):
             raise AssertionError("report rows built")
-        monkeypatch.setattr(topology.PairPairs, "templates", no_rows)
+        monkeypatch.setattr(topology.ListingSide, "templates", no_rows)
         code, doc, err = run_cli(capsys, "weakmix", "--system", "example31",
                                  "--grid", "3/128", "--H", "8")
         assert code == 3 and doc is None
@@ -544,13 +548,15 @@ class TestExitCodes:
 
     def test_a_weakmix_report_is_charged_its_unhit_rows_not_k_to_the_4(self, capsys):
         # 64 cells: 64^4 rows are past 2^20, but none is unhit and the witnesses are
-        # a score table
+        # a run table
         code, doc, err = run_cli(capsys, "weakmix", "--system", "tent",
                                  "--grid", "1/64", "--H", "8")
         assert code == 0 and err is None
         result = doc["result"]
         assert result["kind"] == "WITNESSED_UP_TO" and result["unhit"] == []
-        assert len(result["witnesses"]["classes"]) == 64**2
+        runs = result["witnesses"]["runs"]
+        assert runs[0][0] == 0 and runs[-1][1] == 64**2 - 1
+        assert all(a[1] + 1 == b[0] and a[2] != b[2] for a, b in zip(runs, runs[1:]))
         assert len(json.dumps(result["witnesses"], separators=(",", ":"))) < 16_000
 
     def test_a_refusal_past_every_json_integer_is_strict_json(self, capsys, monkeypatch):
@@ -1051,17 +1057,18 @@ class TestCommandTable:
         verdict = GRID_VERDICTS[command](sch, F(grid), 12)
         # the listing as dicts, one per row, as json encoded it before the rows were text
         cells = [str(c) for c in open_grid(sch.domain, verdict.grid)]
-        if verdict.witnesses.pairs:
+        listing = verdict.listing
+        if listing.pairs:
             labels, first, second = [[cu, cw] for cu in cells for cw in cells], "pair1", "pair2"
         else:
             labels, first, second = cells, "U", "V"
         score = "tail_start" if command == "mixing" else "n"
         result = report["result"]
         side = verdict.witnesses
+        table = {"table": [list(row) for row in listing.table]} if listing.pairs else {}
         assert result["witnesses"] == {
-            "items": "cell_pairs" if side.pairs else "cells", "cells": cells,
-            "classes": list(side.classes), "table": [list(row) for row in side.table],
-            "score": score}
+            "items": "cell_pairs" if listing.pairs else "cells", "cells": cells,
+            "runs": [list(run) for run in listing.spans()], **table, "score": score}
         witnesses = witness_rows(result["witnesses"])
         assert witnesses == [{first: a, second: b, score: n}
                              for a, b, n in side.rows(labels)]
@@ -1106,44 +1113,53 @@ class TestCommandTable:
 
 
 @st.composite
-def listing_sides(draw):
-    """A random PairPairs side: k cells or k^2 cell pairs, classes numbered in order of
-    first appearance (as the verdicts number them), and a class table with zeros."""
+def listings(draw):
+    """A random RunListing: runs over each row of k cells, or over the k^2 cell pairs with
+    classes numbered in order of first appearance (as the verdicts number them) and a
+    class table; the scores include zeros, and neighbouring runs may score alike."""
     k = draw(st.integers(1, 6))
-    pairs = draw(st.booleans())
-    items = k * k if pairs else k
-    drawn = draw(st.lists(st.integers(0, min(items, 12) - 1), min_size=items, max_size=items))
+    score = st.one_of(st.just(0), st.integers(1, draw(st.integers(1, 40))))
+
+    def starts(size):
+        return [0, *(sorted(draw(st.sets(st.integers(1, size - 1)))) if size > 1 else ())]
+
+    if not draw(st.booleans()):
+        rows = [starts(k) for _ in range(k)]
+        firsts = [v for row in rows for v in row]
+        return topology.RunListing(k, tuple(firsts), tuple(draw(st.lists(
+            score, min_size=len(firsts), max_size=len(firsts)))))
+    firsts = starts(k * k)
+    drawn = draw(st.lists(st.integers(0, min(len(firsts), 12) - 1),
+                          min_size=len(firsts), max_size=len(firsts)))
     number: dict[int, int] = {}
     classes = tuple(number.setdefault(c, len(number)) for c in drawn)
-    score = st.one_of(st.just(0), st.integers(1, draw(st.integers(1, 40))))
     table = tuple(tuple(draw(st.lists(score, min_size=len(number), max_size=len(number))))
                   for _ in number)
-    return topology.PairPairs(k, pairs, classes, table, draw(st.booleans()))
+    return topology.RunListing(k, tuple(firsts), classes, table)
 
 
 # an empty listing on either side, and a class that keeps no row on either side
-SIDE_EXAMPLES = [
-    topology.PairPairs(2, False, (0, 1), ((0, 0), (0, 0)), True),
-    topology.PairPairs(2, True, (0, 0, 1, 0), ((3, 1), (2, 5)), False),
-    topology.PairPairs(3, False, (0, 1, 2), ((0, 1, 0), (1, 2, 3), (0, 0, 0)), True),
+LISTING_EXAMPLES = [
+    topology.RunListing(2, (0, 0), (0, 0)),
+    topology.RunListing(2, (0, 2, 3), (0, 1, 0), ((3, 1), (2, 5))),
+    topology.RunListing(3, (0, 2, 0, 1, 0), (0, 1, 2, 3, 0)),
 ]
 
 
 class TestWitnessTable:
     @settings(max_examples=300, deadline=None)
-    @given(listing_sides(), st.sampled_from(["transitivity", "weak_mixing", "mixing"]))
-    @example(SIDE_EXAMPLES[0], "transitivity")
-    @example(SIDE_EXAMPLES[1], "mixing")
-    @example(SIDE_EXAMPLES[2], "weak_mixing")
-    def test_the_class_form_expands_to_the_witness_rows(self, side, name):
+    @given(listings(), st.sampled_from(["transitivity", "weak_mixing", "mixing"]))
+    @example(LISTING_EXAMPLES[0], "transitivity")
+    @example(LISTING_EXAMPLES[1], "mixing")
+    @example(LISTING_EXAMPLES[2], "weak_mixing")
+    def test_the_run_form_expands_to_the_witness_rows(self, listing, name):
         sch = bundled_example("tent")
-        witnesses = dataclasses.replace(side, hit=True)
-        unhit = dataclasses.replace(side, hit=False)
+        witnesses = topology.ListingSide(listing, True)
+        unhit = topology.ListingSide(listing, False)
         kind = "INCONCLUSIVE" if len(unhit) else "WITNESSED_UP_TO"
-        verdict = topology.Verdict(name, kind, F(1, side.k), 1, witnesses=witnesses,
-                                   unhit=unhit)
+        verdict = topology.Verdict(name, kind, F(1, listing.k), 1, listing=listing)
         cells = [str(c) for c in open_grid(sch.domain, verdict.grid)]
-        if side.pairs:
+        if listing.pairs:
             labels, first, second = [[a, b] for a in cells for b in cells], "pair1", "pair2"
         else:
             labels, first, second = cells, "U", "V"
@@ -1153,17 +1169,49 @@ class TestWitnessTable:
         assert witness_rows(json.loads(written)) == rows
         assert len(rows) == len(witnesses)
 
+    @pytest.mark.parametrize("command", list(GRID_VERDICTS))
+    @pytest.mark.parametrize("system,grid,horizon", [
+        ("tent", "1/16", 12), ("example31", "3/16", 9), ("doubling", "1/8", 6),
+        ("tent_doubling_alternating", "1/8", 8)])
+    def test_a_report_round_trips_to_the_reference_rows(self, capsys, command, system, grid,
+                                                        horizon):
+        # the rows listed by plain hitting sets, one per cell pair, with no matrix or run
+        sch = bundled_example(system)
+        cells = open_grid(sch.domain, F(grid))
+        masks = [[sum(1 << (n - 1) for n in hitting_set(sch, u, v, horizon).members)
+                  for v in cells] for u in cells]
+        flat = [(u, v, m) for u, row in enumerate(masks) for v, m in enumerate(row)]
+        full = (1 << horizon) - 1
+
+        def tail_start(m):
+            start = (full & ~m).bit_length() + 1
+            return start if start <= horizon else 0
+
+        names = [str(c) for c in cells]
+        if command == "weakmix":
+            want = [{"pair1": [names[u1], names[v1]], "pair2": [names[u2], names[v2]],
+                     "n": ((m1 & m2) & -(m1 & m2)).bit_length()}
+                    for u1, v1, m1 in flat for u2, v2, m2 in flat if m1 & m2]
+        else:
+            key, score = ("tail_start", tail_start) if command == "mixing" else (
+                "n", lambda m: (m & -m).bit_length())
+            want = [{"U": names[u], "V": names[v], key: score(m)}
+                    for u, v, m in flat if score(m)]
+        code, doc, _ = run_cli(capsys, command, "--system", system, "--grid", grid,
+                               "--H", str(horizon))
+        assert code == 0 and witness_rows(doc["result"]["witnesses"]) == want
+
 
 class TestListingWriter:
     @settings(max_examples=300, deadline=None)
-    @given(listing_sides(), st.lists(st.text(max_size=4), min_size=6, max_size=6))
-    @example(SIDE_EXAMPLES[0], ["a"] * 6)
-    @example(SIDE_EXAMPLES[1], ["a"] * 6)
-    @example(SIDE_EXAMPLES[2], ["(0,1/3)", "(1/3,2/3)", "(2/3,1)", "", "", ""])
-    def test_the_written_listing_is_json_of_the_row_dicts(self, side, names):
-        side = dataclasses.replace(side, hit=False)  # the writer serves the unhit side
-        cells = names[:side.k]
-        if side.pairs:
+    @given(listings(), st.lists(st.text(max_size=4), min_size=6, max_size=6))
+    @example(LISTING_EXAMPLES[0], ["a"] * 6)
+    @example(LISTING_EXAMPLES[1], ["a"] * 6)
+    @example(LISTING_EXAMPLES[2], ["(0,1/3)", "(1/3,2/3)", "(2/3,1)", "", "", ""])
+    def test_the_written_listing_is_json_of_the_row_dicts(self, listing, names):
+        side = topology.ListingSide(listing, False)  # the writer serves the unhit side
+        cells = names[:listing.k]
+        if listing.pairs:
             labels, first, second = [[a, b] for a in cells for b in cells], "pair1", "pair2"
         else:
             labels, first, second = cells, "U", "V"
@@ -1177,7 +1225,7 @@ class TestListingWriter:
         def no_labels(*args):
             raise AssertionError("a label was encoded")
         monkeypatch.setattr(cli, "_dumps", no_labels)
-        nothing_unhit = SIDE_EXAMPLES[1]
+        nothing_unhit = topology.ListingSide(LISTING_EXAMPLES[1], False)
         assert list(cli._listing(nothing_unhit, ["(0,1/2)", "(1/2,1)"])) == ["[]"]
 
     def test_a_weakmix_report_peaks_near_its_text_size(self, tmp_path):

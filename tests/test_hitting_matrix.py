@@ -9,6 +9,7 @@ walks every cell's chain the same way and reports the least step at which
 one overflows, as a walk of all the chains in lockstep meets it.
 """
 
+import dataclasses
 from collections import defaultdict
 from fractions import Fraction as F
 
@@ -39,6 +40,7 @@ from nadyn import (
 )
 from nadyn.intervals import affine_batch
 from nadyn.topology import _hitting_matrix
+from randgen import schedules
 
 VERDICTS = [transitivity_verdict, weakmix_verdict, mixing_verdict]
 
@@ -203,6 +205,20 @@ def test_sensitivity_steps_a_set_by_the_map_of_each_phase_it_recurs_at(
     assert_sensitivity_equals_reference(sch, delta, scale, horizon)
 
 
+@pytest.mark.parametrize("delta, passed", [(F(1, 8), False), (F(1, 2**12), True)])
+def test_reported_cells_equal_their_dataclass_construction(delta, passed):
+    # each reported cell is built with its slots' own setters, not the dataclass __init__
+    res = sensitivity_certificate(bundled_example("tent"), delta, F(1, 64), 3)
+    assert res.passed == passed
+    for cell in res.per_cell if passed else res.failures:
+        cls = type(cell)
+        built = cls(*(getattr(cell, f.name) for f in dataclasses.fields(cls)))
+        assert cell == built and hash(cell) == hash(built) and repr(cell) == repr(built)
+        assert dataclasses.astuple(cell) == dataclasses.astuple(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cell.cell = None
+
+
 def test_a_failing_cell_reports_its_widest_set():
     # each chain is the cell, then [0,1/2] or [1/2,1], then the cell again: the widest
     # set is neither the first nor the last, and is over halves, not quarters
@@ -337,6 +353,31 @@ def test_matrix_equals_meets_reference(system):
     assert hitting_matrix(sch, g, horizon) == reference_matrix(sch, g, horizon)
 
 
+def assert_run_rows_expand_to_the_reference(sch, g, horizon):
+    """The memo's run rows are maximal and expand to the reference matrix."""
+    _, masks = reference_matrix(sch, g, horizon)
+    (k, *_), rows = _hitting_matrix(sch, g, horizon, DEFAULT_BUDGET)
+    assert len(rows) == k == len(masks)
+    for (firsts, run_masks), want in zip(rows, masks):
+        assert firsts[0] == 0 and list(firsts) == sorted(set(firsts)) and firsts[-1] < k
+        assert all(a != b for a, b in zip(run_masks, run_masks[1:]))
+        ends = (*firsts[1:], k)
+        assert tuple(m for a, b, m in zip(firsts, ends, run_masks) for _ in range(a, b)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(schedules(), st.sampled_from([F(1), F(1, 2), F(1, 3), F(1, 4), F(1, 8), F(1, 12)]),
+       st.integers(1, 6))
+def test_run_rows_expand_to_the_meets_reference(sch, g, horizon):
+    assert_run_rows_expand_to_the_reference(sch, g, horizon)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_systems())
+def test_run_rows_on_half_grid_systems_expand_to_the_meets_reference(system):
+    assert_run_rows_expand_to_the_reference(*system)
+
+
 @pytest.mark.parametrize("g", [F(3, 2), F(3, 4), F(1, 2), F(3, 8), F(1, 4), F(1, 8)])
 def test_example31_matrix_equals_meets_reference(g):
     sch = bundled_example("example31")
@@ -388,6 +429,13 @@ def test_weakmix_by_class_expands_to_the_brute_force_listing(system):
     assert (tuple(v.witnesses), tuple(v.unhit)) == (witnesses, unhit)
     assert (len(v.witnesses), len(v.unhit)) == (len(witnesses), len(unhit))
     assert v.witnessed == (not unhit)
+    # one run per stretch of one class, over the k^2 cell pairs, and one class per mask
+    runs = list(v.listing.spans())
+    assert runs[0][0] == 0 and runs[-1][1] == len(masks) ** 2 - 1
+    assert all(a[1] + 1 == b[0] and a[2] != b[2] for a, b in zip(runs, runs[1:]))
+    assert len(v.listing.table) == len({m for row in masks for m in row})
+    assert all(row in v.unhit for row in unhit[:3])
+    assert all(row in v.witnesses for row in witnesses[:3])
 
 
 @settings(max_examples=150, deadline=None)
@@ -403,6 +451,12 @@ def test_cell_listings_equal_the_brute_force_listings(system):
         assert (tuple(v.witnesses), tuple(v.unhit)) == (witnesses, unhit)
         assert (len(v.witnesses), len(v.unhit)) == (len(witnesses), len(unhit))
         assert v.kind == (INCONCLUSIVE if unhit else WITNESSED_UP_TO)
+        # each row's runs tile it, and neighbouring runs score differently
+        runs = list(v.listing.spans())
+        assert [u for u, first, *_ in runs if first == 0] == list(range(len(masks)))
+        assert all(a[2] + 1 == b[1] and a[3] != b[3] for a, b in zip(runs, runs[1:])
+                   if a[0] == b[0])
+        assert all(a[2] == len(masks) - 1 for a, b in zip(runs, runs[1:]) if a[0] != b[0])
         tail = None if unhit or v.property_name != "mixing" else max(n for _, n in witnesses)
         assert v.tail == tail
 
@@ -414,7 +468,8 @@ def test_weakmix_at_256_cells_is_decided_without_its_listing():
 
 
 class TestCellCap:
-    """The k*k masks are charged against the part budget before any cell is built."""
+    """hitting_matrix charges its k*k masks against the part budget before any cell is
+    built; the verdicts charge the k cells, then the runs of the rows they read."""
 
     def test_1024_cells_fit_the_default_budget_and_1025_do_not(self):
         tent = bundled_example("tent")
@@ -430,13 +485,45 @@ class TestCellCap:
         assert len(masks) == 1025
 
     @pytest.mark.parametrize("verdict", VERDICTS)
-    def test_a_smaller_budget_bounds_the_sets_not_the_grid(self, verdict):
-        # 1/64 gives 4096 masks, past a budget of 64 parts but within the default's
-        assert verdict(bundled_example("tent"), F(1, 64), 2, PropagationBudget(64)).horizon == 2
-        with pytest.raises(BudgetExceeded) as exc:
-            verdict(bundled_example("tent"), F(1, 2048), 1, PropagationBudget(64))
-        assert (exc.value.step, exc.value.max_parts) == (0, 1 << 20)
+    def test_a_smaller_budget_bounds_the_sets_not_the_grid(self, verdict, monkeypatch):
+        # 1/64 gives 64 cells and some hundred runs, past a budget of 8 parts but within
+        # the default's
+        assert verdict(bundled_example("tent"), F(1, 64), 2, PropagationBudget(8)).horizon == 2
 
+        def unreached(*args, **kwargs):
+            raise AssertionError("a cell was stepped")
+
+        monkeypatch.setattr("nadyn.plmaps.affine_batch", unreached)
+        with pytest.raises(BudgetExceeded) as exc:
+            verdict(bundled_example("tent"), F(1, 2**20 + 1), 1, PropagationBudget(64))
+        assert (exc.value.step, exc.value.parts, exc.value.max_parts) == (0, 2**20 + 1, 1 << 20)
+        assert str(exc.value) == ('grid width "1/1048577" gives k = "1048577" cells, '
+                                  'which exceed 1048576 parts')
+
+    @pytest.mark.parametrize("verdict", VERDICTS)
+    def test_a_verdict_finer_than_1024_cells_fits(self, verdict):
+        tent = bundled_example("tent")
+        # 11 steps stretch each of the 2048 cells over the domain, 10 do not
+        for horizon, kind in [(10, INCONCLUSIVE), (12, WITNESSED_UP_TO)]:
+            v = verdict(tent, F(1, 2048), horizon)
+            assert v.kind == kind and v.listing.k == 2048
+            assert len(v.witnesses) + len(v.unhit) == 2048 ** (4 if v.listing.pairs else 2)
+
+    @pytest.mark.parametrize("verdict", VERDICTS)
+    def test_a_verdict_is_refused_past_the_budget_at_its_runs(self, verdict, monkeypatch):
+        # with the floor at 64 parts, tent's 32 cells fit and the runs of their rows at 8
+        # steps do not; the refusal names the horizon, after which the runs are counted
+        tent = bundled_example("tent")
+        _, masks = reference_matrix(tent, F(1, 32), 8)
+        runs = sum(1 + sum(a != b for a, b in zip(row, row[1:])) for row in masks)
+        assert runs > 64
+        monkeypatch.setattr("nadyn.topology.DEFAULT_BUDGET", PropagationBudget(64))
+        _hitting_matrix.cache_clear()
+        with pytest.raises(BudgetExceeded) as exc:
+            verdict(tent, F(1, 32), 8, PropagationBudget(64))
+        assert (exc.value.step, exc.value.parts, exc.value.max_parts) == (8, runs, 64)
+        assert str(exc.value) == (f'grid width "1/32" gives k = "32" cells, '
+                                  f'whose {runs} runs exceed 64 parts')
 
     def test_a_sensitivity_walk_past_the_budget_is_refused_before_any_cell(self, monkeypatch):
         def unreached(*args, **kwargs):

@@ -241,6 +241,28 @@ def test_density_stats_match_directly_counted_ratios(case):
     assert (ds.upper, ds.lower) == (max(ratios), min(ratios))
 
 
+def fraction_density_stats(members, tail_start, horizon):
+    """The best ratios kept as Fractions, one per n, as a running count gives them."""
+    count = sum(1 for m in members if m < tail_start)
+    best_hi = best_lo = F(count, tail_start)
+    for n in range(tail_start + 1, horizon + 1):
+        count += n - 1 in members
+        best_hi, best_lo = max(best_hi, F(count, n)), min(best_lo, F(count, n))
+    return best_hi, best_lo
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 1000).flatmap(lambda horizon: st.tuples(
+    st.sets(st.integers(0, horizon - 1), max_size=300),
+    st.integers(1, horizon),
+    st.just(horizon))))
+def test_density_stats_equal_the_fraction_reference(case):
+    members, tail_start, horizon = case
+    ds = density_stats(IndexSet(horizon, tuple(sorted(members))), tail_start)
+    assert (ds.upper, ds.lower) == fraction_density_stats(members, tail_start, horizon)
+    assert all(isinstance(x, F) for x in (ds.upper, ds.lower))
+
+
 @settings(max_examples=25, deadline=None)
 @given(schedules(), interval_sets_in(max_parts=2), interval_sets_in(max_parts=2))
 def test_series_invariants_hold_for_random_systems(sch, a, b):
